@@ -2,17 +2,17 @@
 
 from .graphs import (Graph, DegreeInfo, EdgeListError, MAX_VERTICES,
                      adjacency_matrix, complete, complete_bipartite, cycle,
-                     degree_info, incidence_matrix, is_connected, path,
-                     petersen, read_edge_list, write_edge_list)
+                     degree_info, is_connected, path, petersen,
+                     read_edge_list, write_edge_list)
 from .ops import (OpDescriptor, apply_op, central_graph, closed_shadow_graph,
                   closed_splitting_graph, duplicate_graph, ebd_graph,
                   iterated_line_graph, line_graph, middle_graph, op_label,
                   parse_op, shadow_graph, splitting_graph)
 from .linalg import (RationalPoly, Spectrum, SymMatrix, charpoly_exact,
-                     make_spectrum, multiset_deviation, poly_eval,
-                     poly_roots_real, sym_eigensystem, sym_eigenvalues)
+                     make_spectrum, multiset_deviation, poly_roots_real,
+                     sym_eigenvalues)
 from .spectra import (AlphaValue, EnergyReport, a_alpha_exact, a_alpha_matrix,
-                      alpha, alpha_energy, alpha_spectrum, energy_sweep)
+                      alpha, alpha_energy, alpha_spectrum)
 from .closed_forms import (CLOSED_FORM_OPS, COEFF_TABLES, RegularBase,
                            VerificationRecord, cf_central_spectrum,
                            cf_closed_shadow_spectrum, cf_closed_splitting_spectrum,

@@ -30,9 +30,12 @@ from .analysis import (format_csv, format_table_json, energy_report_json,
 from .closed_forms import CLOSED_FORM_OPS, verify_closed_form
 from .graphs import (EdgeListError, Graph, complete, complete_bipartite, cycle,
                      degree_info, path, petersen, read_edge_list, write_edge_list)
-from .ops import PARAM_OPS, OpDescriptor, apply_op, op_label, parse_op
+from .ops import apply_op, op_label, parse_op, split_op
 from .spectra import AlphaValue, alpha_energy, alpha_spectrum, a_alpha_exact
-from .linalg import CHARPOLY_MAX_N, charpoly_exact, make_spectrum, poly_roots_real
+from .linalg import (CHARPOLY_MAX_N, SYM_EIG_MAX_N, charpoly_exact, make_spectrum,
+                     poly_roots_real)
+
+MAX_GRID_POINTS = 10001   # a weight grid of step 1e-4 over [0, 1]
 
 
 class UsageError(Exception):
@@ -55,7 +58,12 @@ def parse_graph_source(text: str) -> tuple[str, Graph]:
         except EdgeListError as e:
             raise UsageError(f"bad edge list in {p}: {e}") from None
     if text.startswith("op:"):
-        op, rest = _split_op_source(text[3:])
+        try:
+            op, rest = split_op(text[3:])
+        except ValueError as e:
+            raise UsageError(str(e)) from None
+        if not rest:
+            raise UsageError(f"operation source needs 'op:<operation>:<source>', got {text!r}")
         label, g = parse_graph_source(rest)
         try:
             return f"op:{op_label(op)}:{label}", apply_op(op, g)
@@ -79,25 +87,6 @@ def parse_graph_source(text: str) -> tuple[str, Graph]:
         raise UsageError(str(e)) from None
 
 
-def _split_op_source(text: str) -> tuple[OpDescriptor, str]:
-    """Split '<opdesc>:<source>' resolving the parameterised-op ambiguity."""
-    name, sep, rest = text.partition(":")
-    if not sep or not rest:
-        raise UsageError(f"operation source needs 'op:<operation>:<source>', got {text!r}")
-    if name in PARAM_OPS:
-        param, sep2, rest2 = rest.partition(":")
-        if not sep2 or not rest2:
-            raise UsageError(f"operation {name!r} needs ':<{PARAM_OPS[name]}>:<source>'")
-        try:
-            return OpDescriptor(name, int(param)), rest2
-        except ValueError as e:
-            raise UsageError(str(e)) from None
-    try:
-        return OpDescriptor(name), rest
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-
-
 def _parse_alpha(text: str) -> AlphaValue:
     try:
         return AlphaValue.parse(text)
@@ -116,12 +105,20 @@ def _parse_alpha_grid(text: str) -> list[AlphaValue]:
         raise UsageError(f"alpha grid must be lo:hi:step, got {text!r}") from None
     if step <= 0 or lo > hi:
         raise UsageError(f"empty alpha grid {text!r}")
-    out = []
-    a = lo
-    while a <= hi:
-        out.append(AlphaValue.from_fraction(a))
-        a += step
-    return out
+    if lo < 0 or hi > 1:
+        raise UsageError(f"alpha grid must lie in [0, 1], got {text!r}")
+    count = (hi - lo) // step + 1
+    if count > MAX_GRID_POINTS:
+        raise UsageError(f"alpha grid {text!r} has {count} points, "
+                         f"over the cap of {MAX_GRID_POINTS}")
+    return [AlphaValue.from_fraction(lo + k * step) for k in range(count)]
+
+
+def _measurable(label: str, g: Graph) -> None:
+    """Reject, before any work, a graph the numeric eigensolver cannot take."""
+    if not 1 <= g.p <= SYM_EIG_MAX_N:
+        raise UsageError(f"{label} has {g.p} vertices; numeric commands "
+                         f"need 1..{SYM_EIG_MAX_N}")
 
 
 def _cmd_gen(args) -> int:
@@ -145,10 +142,9 @@ def _cmd_op(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    _, g = parse_graph_source(args.source)
+    label, g = parse_graph_source(args.source)
+    _measurable(label, g)
     a = _parse_alpha(args.alpha)
-    if g.p < 1:
-        raise UsageError("spectrum needs at least one vertex")
     if args.exact:
         if a.exact is None:
             raise UsageError("--exact needs a rational alpha")
@@ -169,8 +165,7 @@ def _cmd_energy(args) -> int:
     a = _parse_alpha(args.alpha)
     if a.numeric >= 1.0:
         raise UsageError("energy needs alpha < 1")
-    if g.p < 1:
-        raise UsageError("energy needs at least one vertex")
+    _measurable(label, g)
     if args.json:
         rep = alpha_energy(g, a, graph_id=label)
         sys.stdout.write(energy_report_json(rep, degree_info(g).regular))
@@ -182,8 +177,7 @@ def _cmd_energy(args) -> int:
 def _cmd_sweep(args) -> int:
     rows = [parse_graph_source(s) for s in args.sources]
     for label, g in rows:
-        if g.p < 1:
-            raise UsageError(f"{label}: energy needs at least one vertex")
+        _measurable(label, g)
     alphas = _parse_alpha_grid(args.alphas)
     if any(a.numeric >= 1.0 for a in alphas):
         raise UsageError("energy sweep needs alpha < 1")
@@ -201,7 +195,13 @@ def _cmd_verify(args) -> int:
     if op.name not in CLOSED_FORM_OPS:
         raise UsageError(f"no closed form for operation {args.operation!r}")
     label, g = parse_graph_source(args.source)
+    _measurable(label, g)
     alphas = _parse_alpha_grid(args.alphas)
+    try:
+        operated = apply_op(op, g)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+    _measurable(f"op:{op_label(op)}:{label}", operated)
     ok = True
     for a in alphas:
         try:
@@ -215,10 +215,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_classify(args) -> int:
     label, g = parse_graph_source(args.source)
+    _measurable(label, g)
     a = _parse_alpha(args.alpha)
     if a.numeric >= 1.0:
         raise UsageError("classification needs alpha < 1")
     peers = [parse_graph_source(s) for s in args.peers]
+    for peer in peers:
+        _measurable(*peer)
     res = classify(g, a, peers=peers, tol=args.tol, graph_id=label)
     print(json.dumps({
         "graph": res.graph_id, "alpha": res.alpha, "energy": res.energy,

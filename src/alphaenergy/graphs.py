@@ -9,7 +9,7 @@ edges by their position in it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -82,15 +82,6 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
         a[i, j] = 1.0
         a[j, i] = 1.0
     return a
-
-
-def incidence_matrix(g: Graph) -> np.ndarray:
-    """p x q vertex-edge incidence matrix, columns in edge order."""
-    r = np.zeros((g.p, g.q), dtype=np.int64)
-    for e, (i, j) in enumerate(g.edges):
-        r[i, e] = 1
-        r[j, e] = 1
-    return r
 
 
 def is_connected(g: Graph) -> bool:

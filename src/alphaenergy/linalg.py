@@ -104,13 +104,12 @@ def multiset_deviation(xs: Sequence[float], ys: Sequence[float]) -> float:
 # ----------------------------------------------------------------------
 # cyclic Jacobi
 
-def _jacobi(a0: np.ndarray, want_vectors: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def _jacobi(a0: np.ndarray) -> np.ndarray:
     a = np.array(a0, dtype=float)
     n = a.shape[0]
-    v = np.eye(n) if want_vectors else None
     target = JACOBI_REL_TOL * float(np.linalg.norm(a0))
     if n == 1:
-        return a.diagonal().copy(), v
+        return a.diagonal().copy()
     skip = target / (2 * n)   # elements below this cannot push off-norm past target
 
     def offnorm() -> float:
@@ -145,37 +144,16 @@ def _jacobi(a0: np.ndarray, want_vectors: bool) -> tuple[np.ndarray, Optional[np
                 a[j, j] = aqq + t * aij
                 a[i, j] = 0.0
                 a[j, i] = 0.0
-                if want_vectors:
-                    vi = v[:, i].copy()
-                    vj = v[:, j].copy()
-                    v[:, i] = vi - s * (vj + tau * vi)
-                    v[:, j] = vj + s * (vi - tau * vj)
     if not converged and offnorm() > target:
         raise ArithmeticError(f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps")
-    return a.diagonal().copy(), v
-
-
-def _as_sym(m: SymMatrix | np.ndarray) -> SymMatrix:
-    return m if isinstance(m, SymMatrix) else SymMatrix(np.asarray(m))
-
-
-def sym_eigensystem(m: SymMatrix | np.ndarray) -> tuple[Spectrum, np.ndarray]:
-    """Spectrum plus an orthogonal matrix whose columns are eigenvectors."""
-    sm = _as_sym(m)
-    if sm.n < 1 or sm.n > SYM_EIG_MAX_N:
-        raise ValueError(f"matrix dimension {sm.n} outside 1..{SYM_EIG_MAX_N}")
-    d, v = _jacobi(sm.data, want_vectors=True)
-    order = np.argsort(-d, kind="stable")
-    scale = float(np.abs(sm.data).max()) if sm.n else 0.0
-    spec = make_spectrum(d[order], trace=float(sm.data.trace()), scale=scale)
-    return spec, v[:, order]
+    return a.diagonal().copy()
 
 
 def sym_eigenvalues(m: SymMatrix | np.ndarray) -> Spectrum:
-    sm = _as_sym(m)
+    sm = m if isinstance(m, SymMatrix) else SymMatrix(np.asarray(m))
     if sm.n < 1 or sm.n > SYM_EIG_MAX_N:
         raise ValueError(f"matrix dimension {sm.n} outside 1..{SYM_EIG_MAX_N}")
-    d, _ = _jacobi(sm.data, want_vectors=False)
+    d = _jacobi(sm.data)
     scale = float(np.abs(sm.data).max()) if sm.n else 0.0
     return make_spectrum(sorted(d, reverse=True), trace=float(sm.data.trace()), scale=scale)
 
@@ -196,13 +174,6 @@ class RationalPoly:
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
-
-
-def poly_eval(pl: RationalPoly, x: float) -> float:
-    acc = 0.0
-    for c in reversed(pl.coefficients):
-        acc = acc * x + float(c)
-    return acc
 
 
 def _matmul_int(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

@@ -15,50 +15,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
-from .graphs import MAX_VERTICES, Graph, neighbor_sets
-
-PARAM_OPS = {"splitting": "m", "shadow": "m", "line": "k", "duplicate": "m"}
-PLAIN_OPS = ("middle", "central", "closed-splitting", "closed-shadow", "ebd")
-
-
-@dataclass(frozen=True)
-class OpDescriptor:
-    name: str
-    param: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.name in PARAM_OPS:
-            if self.param is None:
-                raise ValueError(f"operation {self.name!r} needs a parameter")
-        elif self.name in PLAIN_OPS:
-            if self.param is not None:
-                raise ValueError(f"operation {self.name!r} takes no parameter")
-        else:
-            raise ValueError(f"unknown operation {self.name!r}")
-
-
-def parse_op(text: str) -> OpDescriptor:
-    """Parse 'middle', 'splitting:2', 'line:3', ... into an OpDescriptor."""
-    name, sep, rest = text.partition(":")
-    if name in PLAIN_OPS:
-        if sep:
-            raise ValueError(f"operation {name!r} takes no parameter, got {text!r}")
-        return OpDescriptor(name)
-    if name in PARAM_OPS:
-        if not sep or not rest:
-            raise ValueError(f"operation {name!r} needs ':<{PARAM_OPS[name]}>', got {text!r}")
-        try:
-            param = int(rest)
-        except ValueError:
-            raise ValueError(f"bad parameter in {text!r}") from None
-        return OpDescriptor(name, param)
-    raise ValueError(f"unknown operation {name!r}")
-
-
-def op_label(op: OpDescriptor) -> str:
-    return op.name if op.param is None else f"{op.name}:{op.param}"
+from .graphs import MAX_VERTICES, Graph
 
 
 def _norm(i: int, j: int) -> tuple[int, int]:
@@ -205,23 +164,73 @@ def duplicate_graph(g: Graph, m: int) -> Graph:
     return out
 
 
+class _Op(NamedTuple):
+    param: Optional[str]            # parameter letter, or None for a plain operation
+    build: Callable[..., Graph]     # build(g) or build(g, param)
+
+
+# The one list of operations: name -> parameter letter and builder.
+OPS: dict[str, _Op] = {
+    "middle": _Op(None, middle_graph),
+    "central": _Op(None, central_graph),
+    "splitting": _Op("m", splitting_graph),
+    "closed-splitting": _Op(None, closed_splitting_graph),
+    "shadow": _Op("m", shadow_graph),
+    "closed-shadow": _Op(None, closed_shadow_graph),
+    "ebd": _Op(None, ebd_graph),
+    "line": _Op("k", iterated_line_graph),
+    "duplicate": _Op("m", duplicate_graph),
+}
+
+
+@dataclass(frozen=True)
+class OpDescriptor:
+    name: str
+    param: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.name not in OPS:
+            raise ValueError(f"unknown operation {self.name!r}")
+        if (OPS[self.name].param is None) != (self.param is None):
+            raise ValueError(f"operation {self.name!r} takes the form '{_usage(self.name)}'")
+
+
+def _usage(name: str) -> str:
+    letter = OPS[name].param
+    return name if letter is None else f"{name}:<{letter}>"
+
+
+def split_op(text: str) -> tuple[OpDescriptor, Optional[str]]:
+    """Split '<name>[:<param>]' off the front of ``text``.
+
+    Returns the operation and the text after the ':' that follows it, or
+    None when nothing follows.
+    """
+    name, sep, rest = text.partition(":")
+    if name not in OPS:
+        raise ValueError(f"unknown operation {name!r}")
+    if OPS[name].param is None:
+        return OpDescriptor(name), rest if sep else None
+    param, sep, rest = rest.partition(":")
+    try:
+        value = int(param)
+    except ValueError:
+        raise ValueError(f"expected '{_usage(name)}', got {text!r}") from None
+    return OpDescriptor(name, value), rest if sep else None
+
+
+def parse_op(text: str) -> OpDescriptor:
+    """Parse 'middle', 'splitting:2', 'line:3', ... into an OpDescriptor."""
+    op, rest = split_op(text)
+    if rest is not None:
+        raise ValueError(f"expected '{_usage(op.name)}', got {text!r}")
+    return op
+
+
+def op_label(op: OpDescriptor) -> str:
+    return op.name if op.param is None else f"{op.name}:{op.param}"
+
+
 def apply_op(op: OpDescriptor, g: Graph) -> Graph:
-    if op.name == "middle":
-        return middle_graph(g)
-    if op.name == "central":
-        return central_graph(g)
-    if op.name == "splitting":
-        return splitting_graph(g, op.param)
-    if op.name == "closed-splitting":
-        return closed_splitting_graph(g)
-    if op.name == "shadow":
-        return shadow_graph(g, op.param)
-    if op.name == "closed-shadow":
-        return closed_shadow_graph(g)
-    if op.name == "ebd":
-        return ebd_graph(g)
-    if op.name == "line":
-        return iterated_line_graph(g, op.param)
-    if op.name == "duplicate":
-        return duplicate_graph(g, op.param)
-    raise ValueError(f"unknown operation {op.name!r}")
+    build = OPS[op.name].build
+    return build(g) if op.param is None else build(g, op.param)

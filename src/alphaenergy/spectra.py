@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -115,8 +115,3 @@ def alpha_energy(g: Graph, a: AlphaValue, graph_id: Optional[str] = None) -> Ene
         graph_id=graph_id if graph_id is not None else f"graph(p={g.p},q={g.q})",
         alpha=a, p=g.p, q=g.q, offset=offset,
         eigenvalues=spec, energy=energy)
-
-
-def energy_sweep(g: Graph, alphas: Sequence[AlphaValue],
-                 graph_id: Optional[str] = None) -> list[EnergyReport]:
-    return [alpha_energy(g, a, graph_id=graph_id) for a in alphas]

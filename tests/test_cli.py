@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alphaenergy.cli import main, parse_graph_source, UsageError
+from alphaenergy import cli
+from alphaenergy.cli import (MAX_GRID_POINTS, _parse_alpha_grid, main,
+                             parse_graph_source, UsageError)
+from alphaenergy.graphs import cycle
+from alphaenergy.ops import OPS, apply_op, op_label, parse_op
 
 
 def run(capsys, *argv):
@@ -36,6 +44,14 @@ class TestSourceParsing:
     def test_rejects(self, text):
         with pytest.raises(UsageError):
             parse_graph_source(text)
+
+    @pytest.mark.parametrize("name", list(OPS))
+    def test_every_operation_nests(self, name):
+        op = name if OPS[name].param is None else f"{name}:2"
+        label, g = parse_graph_source(f"op:{op}:C5")
+        assert label == f"op:{op}:C5"
+        assert g == apply_op(parse_op(op), cycle(5))
+        assert op_label(parse_op(op)) == op
 
 
 class TestGenAndOp:
@@ -218,6 +234,81 @@ class TestClassifyAndTable:
         rc, out, _ = run(capsys, "table1", "--format", "json")
         assert rc == 0
         assert len(json.loads(out)["rows"]) == 27
+
+
+class TestUsageContract:
+    """Inputs that must end in exit 2 and an error line, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "C4", "--alpha", "0.3", "--peers", "op:line:2:P2"),
+        ("energy", "op:line:1:K70", "--alpha", "0.5"),
+        ("sweep", "op:line:1:K70"),
+        ("classify", "op:line:1:K70", "--alpha", "0.3"),
+        ("sweep", "K3", "--alphas", "0:2:1"),
+        ("verify", "ebd", "C4", "--alphas", "0.5:1.5:0.5"),
+        ("sweep", "K1", "--alphas", "0:0.5:1/20002"),
+    ], ids=["empty-peer", "energy-over-cap", "sweep-over-cap", "classify-over-cap",
+            "sweep-grid-above-1", "verify-grid-above-1", "grid-over-point-cap"])
+    def test_usage_error(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_operated_graph_over_cap_rejected_before_work(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("verification ran")
+        monkeypatch.setattr(cli, "verify_closed_form", no_work)
+        rc, _, err = run(capsys, "verify", "ebd", "C1001")
+        assert rc == 2
+        assert "2002 vertices" in err
+
+    def test_grid_point_cap_is_inclusive(self):
+        grid = _parse_alpha_grid("0:0.5:1/20000")
+        assert len(grid) == MAX_GRID_POINTS
+        assert grid[-1].numeric == 0.5
+
+
+def _cat(*parts):
+    return st.tuples(*parts).map(lambda t: [x for part in t for x in part])
+
+
+def _one(*xs):
+    return st.sampled_from(xs).map(lambda x: [x])
+
+
+# Every graph here has at most 30 vertices, except the empty and the
+# over-cap sources, which must be rejected before any eigensolve.
+_SOURCE = _one("C5", "K4", "K2,3", "petersen", "P1", "op:middle:C5",
+               "op:splitting:2:C4", "op:line:2:P2", "P2001", "X5",
+               "op:frob:C4", "op:middle")
+_OPERATION = _one("middle", "central", "splitting:1", "ebd", "line:2",
+                  "shadow:1", "frob", "splitting:x")
+_ALPHA = _one("0", "0.3", "0.5", "1", "1.5", "abc", "0.1234567")
+_GRID = st.sampled_from([[]] + [["--alphas", g] for g in (
+    "0:0.5:0.25", "0:1:0.5", "0:2:1", "0.5:1.5:0.5", "0:0.5:1/20002",
+    "a:b:c", "0.5:0.2:0.1", "-0.5:0.5:0.5")])
+_ARGV = st.one_of(
+    _cat(st.just(["gen"]), _SOURCE),
+    _cat(st.just(["op"]), _OPERATION, _SOURCE),
+    _cat(st.just(["spectrum"]), _SOURCE, st.just(["--alpha"]), _ALPHA,
+         st.sampled_from([[], ["--exact"]])),
+    _cat(st.just(["energy"]), _SOURCE, st.just(["--alpha"]), _ALPHA,
+         st.sampled_from([[], ["--json"]])),
+    _cat(st.just(["sweep"]), _SOURCE, _SOURCE, _GRID),
+    _cat(st.just(["verify"]), _OPERATION, _SOURCE, _GRID),
+    _cat(st.just(["classify"]), _SOURCE, st.just(["--alpha"]), _ALPHA,
+         st.just(["--peers"]), _SOURCE, _SOURCE),
+    _one("frobnicate", "energy"),
+)
+
+
+@given(_ARGV)
+@settings(max_examples=60, deadline=None)
+def test_main_returns_an_exit_code(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2)
 
 
 class TestArgparseBehavior:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from alphaenergy import (EdgeListError, Graph, adjacency_matrix, complete,
                          complete_bipartite, cycle, degree_info,
-                         incidence_matrix, is_connected, path, petersen,
+                         is_connected, line_graph, path, petersen,
                          read_edge_list, write_edge_list)
 from conftest import graphs
 
@@ -93,16 +93,12 @@ class TestDegreesAndMatrices:
         assert a.trace() == 0
         assert a.sum() == 30
 
-    def test_incidence_shape(self):
-        r = incidence_matrix(cycle(5))
-        assert r.shape == (5, 5)
-        assert (r.sum(axis=0) == 2).all()
-
     def test_incidence_gram_identities(self):
-        # R R^T = A + D and R^T R = 2I + (line-graph adjacency)
-        from alphaenergy import line_graph
+        # R R^T = A + D and R^T R = 2I + (line-graph adjacency), where R is
+        # the p x q vertex-edge incidence matrix with columns in edge order
         for g in (cycle(6), petersen(), complete_bipartite(2, 3), path(5)):
-            r = incidence_matrix(g).astype(float)
+            r = np.zeros((g.p, g.q))
+            r[np.array(g.edges).T, np.arange(g.q)] = 1.0
             a = adjacency_matrix(g)
             d = np.diag(degree_info(g).degrees)
             assert np.array_equal(r @ r.T, a + d)

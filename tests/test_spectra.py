@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from alphaenergy import (AlphaValue, Graph, a_alpha_exact, a_alpha_matrix,
                          adjacency_matrix, alpha, alpha_energy,
                          alpha_spectrum, complete, complete_bipartite, cycle,
-                         energy_sweep, multiset_deviation, petersen)
+                         multiset_deviation, petersen)
 from conftest import graphs
 
 
@@ -143,14 +143,6 @@ class TestEnergy:
                 a = alpha(text)
                 got = alpha_energy(g, a).energy
                 assert abs(got - (1 - a.numeric) * e0) < 1e-9
-
-    def test_energy_sweep(self):
-        grid = [alpha(t) for t in ("0", "0.5")]
-        reps = energy_sweep(petersen(), grid, graph_id="petersen")
-        assert [r.alpha for r in reps] == grid
-        assert all(r.graph_id == "petersen" for r in reps)
-        assert reps[0].energy == pytest.approx(16.0)
-        assert reps[1].energy == pytest.approx(8.0)
 
     @given(graphs(min_p=1, max_p=8))
     @settings(max_examples=30, deadline=None)
