@@ -3,16 +3,17 @@
 Two independent routes to a spectrum live here on purpose:
 
 * ``sym_eigenvalues`` is a cyclic-by-row Jacobi iteration in float64.
-* ``charpoly_exact`` + ``poly_roots_real`` go through exact rational
-  arithmetic (integer Faddeev-LeVerrier, Yun square-free splitting,
-  Sturm bisection) and never touch floating point until the final
-  root refinement.
+* ``charpoly_exact`` + ``poly_roots_real`` go through exact arithmetic
+  (Hessenberg reduction mod 31-bit primes with a CRT lift past a Hadamard
+  bound, Yun square-free splitting, Sturm bisection) and never touch
+  floating point until the final root refinement.
 
 Keep them independent; tests compare one against the other.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +23,7 @@ import numpy as np
 
 SYM_EIG_MAX_N = 2000
 CHARPOLY_MAX_N = 64
+_PRIME_BATCH = 16        # primes reduced together in one int64 stack
 JACOBI_REL_TOL = 1e-12   # off-diagonal Frobenius target, relative to ||M||_F
 JACOBI_MAX_SWEEPS = 100
 GROUP_TOL = 1e-7         # eigenvalue clustering width for multiplicities
@@ -176,17 +178,95 @@ class RationalPoly:
         return len(self.coefficients) - 1
 
 
-def _matmul_int(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+def _is_prime_31(m: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5, 7: exact for odd 7 < m < 3.2e9."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in (2, 3, 5, 7):
+        x = pow(b, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
 
 
-def _trace_int(a: list[list[int]]) -> int:
-    return sum(a[i][i] for i in range(len(a)))
+@functools.lru_cache(maxsize=None)
+def _primes(count: int) -> tuple[int, ...]:
+    """The ``count`` largest primes below 2**31, in descending order."""
+    out, m = [], 2 ** 31 - 1
+    while len(out) < count:
+        if _is_prime_31(m):
+            out.append(m)
+        m -= 2
+    return tuple(out)
+
+
+def _charpoly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Characteristic polynomials of a stack of matrices, one prime each.
+
+    ``h`` is a (k, n, n) int64 array of residues mod the k primes in
+    ``p`` (each below 2**31); it is overwritten.  Returns the (k, n + 1)
+    ascending coefficient residues.  Every product of two residues is
+    below 2**62 and is reduced before it is summed, so nothing overflows.
+    """
+    k, n, _ = h.shape
+    p2, p3 = p[:, None], p[:, None, None]
+    primes = p.tolist()
+    # similarity transforms to upper Hessenberg form (Cohen, Alg. 2.2.9)
+    for c in range(n - 2):
+        r = c + 1
+        pivots = []
+        for b, col in enumerate(h[:, r:, c].tolist()):
+            i = next((row for row, v in enumerate(col) if v), 0)
+            if i:
+                h[b, [r, r + i]] = h[b, [r + i, r]]
+                h[b][:, [r, r + i]] = h[b][:, [r + i, r]]
+            pivots.append(col[i])
+        if not any(pivots):
+            continue
+        inv = [pow(t, -1, q) if t else 0 for t, q in zip(pivots, primes)]
+        u = h[:, r + 1:, c] * np.array(inv, dtype=np.int64)[:, None] % p2
+        h[:, r + 1:, c:] = (h[:, r + 1:, c:] - u[:, :, None] * h[:, r:r + 1, c:]) % p3
+        h[:, :, r] = ((h[:, :, r + 1:] * u[:, None, :] % p3).sum(axis=2) + h[:, :, r]) % p2
+    # p_m = (x - h_mm) p_(m-1) - sum_i h_im (h_(i+1,i) ... h_(m,m-1)) p_(i-1)
+    polys = np.zeros((k, n + 1, n + 1), dtype=np.int64)
+    polys[:, 0, 0] = 1
+    sub = np.zeros((k, n), dtype=np.int64)   # products of subdiagonal runs
+    for j in range(n):
+        prev, cur = polys[:, j], polys[:, j + 1]
+        cur[:, 1:] = prev[:, :-1]
+        cur -= h[:, j, j, None] * prev % p2
+        if j:
+            sub[:, j - 1] = 1
+            sub[:, :j] = sub[:, :j] * h[:, j, j - 1, None] % p2
+            t = h[:, :j, j] * sub[:, :j] % p2
+            cur -= (t[:, :, None] * polys[:, :j] % p3).sum(axis=1)
+        cur %= p2
+    return polys[:, n]
 
 
 def charpoly_exact(mat: Sequence[Sequence[Fraction | int]]) -> RationalPoly:
-    """det(xI - M) by Faddeev-LeVerrier over scaled integers; exact."""
+    """det(xI - M) with exact rational coefficients.
+
+    M is scaled by the lcm s of its denominators to an integer matrix N.
+    The charpoly of N is computed mod 31-bit primes, counting down from
+    2**31 - 1, by reduction to Hessenberg form, and the residues are
+    combined by CRT.  Each coefficient of det(xI - N) is a signed sum of
+    at most 2**n principal minors, each bounded by Hadamard's inequality,
+    so its size is at most B = 2**n * prod_i max(1, ceil(||N_i||_2)) over
+    the rows N_i.  Enough primes are taken that their product exceeds 2B,
+    so the symmetric residue is the integer coefficient itself.  The
+    primes are fixed and the reduction is a similarity over GF(p) for
+    every prime, so the result is exact and deterministic.  Coefficient j
+    of det(xI - M) is then c_j / s**(n - j).
+    """
     rows = [[Fraction(x) for x in row] for row in mat]
     n = len(rows)
     if n < 1:
@@ -195,25 +275,26 @@ def charpoly_exact(mat: Sequence[Sequence[Fraction | int]]) -> RationalPoly:
         raise ValueError("matrix must be square")
     if n > CHARPOLY_MAX_N:
         raise ValueError(f"matrix dimension {n} exceeds cap {CHARPOLY_MAX_N}")
-    s = 1
-    for row in rows:
-        for x in row:
-            s = math.lcm(s, x.denominator)
-    nmat = [[int(x * s) for x in row] for row in rows]
+    s = math.lcm(*{x.denominator for row in rows for x in row})
+    nmat = [[x.numerator * (s // x.denominator) for x in row] for row in rows]
 
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    work = [row[:] for row in nmat]
-    coeffs[n - 1] = -_trace_int(work)
-    for k in range(2, n + 1):
-        shift = coeffs[n - k + 1]
-        for i in range(n):
-            work[i][i] += shift
-        work = _matmul_int(nmat, work)
-        t, rem = divmod(-_trace_int(work), k)
-        if rem:
-            raise ArithmeticError("Faddeev-LeVerrier trace division was not exact")
-        coeffs[n - k] = t
+    bound = 2 ** n
+    for row in nmat:
+        sq = sum(x * x for x in row)
+        bound *= math.isqrt(sq - 1) + 1 if sq else 1
+    primes = _primes(-(-(2 * bound).bit_length() // 30))   # each exceeds 2**30
+    modulus = math.prod(primes)
+    residues = []
+    for lo in range(0, len(primes), _PRIME_BATCH):
+        chunk = primes[lo:lo + _PRIME_BATCH]
+        h = np.array([[[x % q for x in row] for row in nmat] for q in chunk],
+                     dtype=np.int64)
+        residues.extend(_charpoly_mod(h, np.array(chunk, dtype=np.int64)).tolist())
+    weights = [modulus // q * pow(modulus // q, -1, q) for q in primes]
+    coeffs = []
+    for j in range(n + 1):
+        c = sum(r[j] * w for r, w in zip(residues, weights)) % modulus
+        coeffs.append(c - modulus if 2 * c > modulus else c)
     return RationalPoly(tuple(Fraction(coeffs[j], s ** (n - j)) for j in range(n + 1)))
 
 

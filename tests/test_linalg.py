@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphaenergy import (RationalPoly, Spectrum, SymMatrix,
-                         adjacency_matrix, charpoly_exact, complete_bipartite,
-                         cycle, make_spectrum, multiset_deviation, petersen,
-                         poly_roots_real, sym_eigenvalues)
+from alphaenergy import (RationalPoly, Spectrum, SymMatrix, a_alpha_exact,
+                         adjacency_matrix, alpha, charpoly_exact,
+                         complete_bipartite, cycle, make_spectrum,
+                         multiset_deviation, petersen, poly_roots_real,
+                         sym_eigenvalues)
 
 
 def _sym_random(rng: random.Random, n: int, span: float = 5.0) -> np.ndarray:
@@ -124,6 +125,110 @@ class TestCharpoly:
         big = [[int(i == j) for j in range(65)] for i in range(65)]
         with pytest.raises(ValueError, match="cap"):
             charpoly_exact(big)
+
+
+def _det(rows: list[list[Fraction]]) -> Fraction:
+    """Determinant by exact Gaussian elimination with row swaps."""
+    a = [row[:] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, n):
+            if a[r][c]:
+                f = a[r][c] / a[c][c]
+                a[r][c:] = [x - f * y if y else x for x, y in zip(a[r][c:], a[c][c:])]
+    return det
+
+
+def _assert_is_charpoly(rows) -> None:
+    """det(xI - M) equals the polynomial at n + 1 distinct rational x."""
+    n = len(rows)
+    neg = [[-Fraction(v) for v in row] for row in rows]
+    coeffs = charpoly_exact(rows).coefficients
+    assert len(coeffs) == n + 1
+    for k in range(n + 1):
+        x = Fraction(2 * k - n, 3)
+        value = Fraction(0)
+        for c in reversed(coeffs):
+            value = value * x + c
+        shifted = [row[:] for row in neg]
+        for i in range(n):
+            shifted[i][i] += x
+        assert value == _det(shifted), f"mismatch at x = {x}"
+
+
+def _sparse(n: int, entries: dict[tuple[int, int], Fraction | int]) -> list[list]:
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), v in entries.items():
+        rows[i][j] = Fraction(v)
+    return rows
+
+
+class TestCharpolyAgainstDeterminant:
+    """Independent check: no code is shared with ``charpoly_exact``."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_nonsymmetric_rational(self, seed):
+        rng = random.Random(seed)
+        n = 2 + seed
+        _assert_is_charpoly([[Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                              for _ in range(n)] for _ in range(n)])
+
+    def test_one_by_one(self):
+        _assert_is_charpoly([[Fraction(-7, 3)]])
+        _assert_is_charpoly([[0]])
+
+    def test_all_zero(self):
+        _assert_is_charpoly([[0] * 6 for _ in range(6)])
+
+    def test_identity_at_the_cap(self):
+        # rows of norm 1, yet the coefficients reach C(64, 32) > 2**60
+        _assert_is_charpoly([[int(i == j) for j in range(64)] for i in range(64)])
+
+    def test_block_diagonal(self):
+        # the Hessenberg reduction finds no pivot below the blocks
+        _assert_is_charpoly(_sparse(7, {(0, 1): 2, (1, 0): -1, (1, 1): 3,
+                                        (2, 2): Fraction(5, 2),
+                                        (3, 5): 1, (4, 3): 4, (5, 4): -2,
+                                        (6, 6): -1}))
+
+    @pytest.mark.parametrize("stride", [2, 3, 5])
+    def test_permutation_like(self, stride):
+        # entries that sit far below the subdiagonal force row swaps
+        n = 9
+        _assert_is_charpoly(_sparse(n, {(i, (stride * i + 1) % n): i - 4
+                                        for i in range(n)}))
+
+    def test_pivot_only_in_last_row(self):
+        _assert_is_charpoly(_sparse(5, {(4, 0): 1, (0, 4): 2, (3, 1): -3,
+                                        (1, 2): Fraction(1, 2), (2, 3): 7}))
+
+    def test_denominator_of_one_million(self):
+        _assert_is_charpoly(a_alpha_exact(petersen(), alpha("0.500001")))
+        rng = random.Random(7)
+        _assert_is_charpoly([[Fraction(rng.randint(-10 ** 6, 10 ** 6), 10 ** 6)
+                              for _ in range(6)] for _ in range(6)])
+
+    def test_entries_near_one_million(self):
+        rng = random.Random(8)
+        _assert_is_charpoly([[rng.choice((-1, 1)) * rng.randint(10 ** 6 - 50, 10 ** 6 + 50)
+                              for _ in range(8)] for _ in range(8)])
+
+    def test_cap_boundary_cycle(self):
+        _assert_is_charpoly(a_alpha_exact(cycle(64), alpha("0.3")))
+
+    def test_cap_boundary_banded_nonsymmetric(self):
+        rng = random.Random(9)
+        _assert_is_charpoly(_sparse(64, {(i, j): Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                                         for i in range(64)
+                                         for j in range(max(0, i - 2), min(64, i + 2))}))
 
 
 class TestRootIsolation:
