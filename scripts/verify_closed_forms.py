@@ -12,14 +12,11 @@ import argparse
 import sys
 from fractions import Fraction
 
-from alphaenergy.closed_forms import verify_closed_form
+from alphaenergy.closed_forms import CLOSED_FORM_INSTANCES, verify_closed_form
 from alphaenergy.graphs import complete, complete_bipartite, cycle, petersen
 from alphaenergy.linalg import CHARPOLY_MAX_N
 from alphaenergy.ops import apply_op, parse_op
 from alphaenergy.spectra import AlphaValue
-
-OP_INSTANCES = ("middle", "central", "splitting:1", "splitting:2",
-                "splitting:3", "closed-splitting", "closed-shadow", "ebd")
 
 BASES = [("C%d" % n, cycle(n)) for n in range(3, 9)]
 BASES += [("K%d" % n, complete(n)) for n in range(2, 7)]
@@ -42,7 +39,7 @@ def main(argv=None) -> int:
 
     grid = alpha_grid(Fraction(args.step))
     failures = 0
-    for op in OP_INSTANCES:
+    for op in CLOSED_FORM_INSTANCES:
         for label, g in BASES:
             worst, exact_runs = 0.0, 0
             try:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .graphs import Graph, adjacency_matrix, degree_info, is_connected
+from .graphs import Graph, adjacency_matrix, component_counts, degree_info
 from .linalg import (CHARPOLY_MAX_N, Spectrum, charpoly_exact, make_spectrum,
                      multiset_deviation, poly_roots_real, sym_eigenvalues)
 from .ops import OpDescriptor, apply_op, op_label, parse_op
@@ -33,19 +33,25 @@ class RegularBase:
     p: int
     q: int
     r: int
-    base_spectrum: tuple[float, ...]   # non-increasing, leads with r
+    base_spectrum: tuple[float, ...]   # non-increasing; r and -r exact
     connected: bool = True
 
     @classmethod
     def from_graph(cls, g: Graph) -> "RegularBase":
-        info = degree_info(g)
-        if info.regular is None:
+        r = degree_info(g).regular
+        if r is None:
             raise ValueError("base graph must be regular")
-        spec = sym_eigenvalues(adjacency_matrix(g))
-        if abs(spec.values[0] - info.regular) > BASE_TOL:
-            raise ValueError("largest adjacency eigenvalue should equal the degree")
-        return cls(p=g.p, q=g.q, r=info.regular,
-                   base_spectrum=spec.values, connected=is_connected(g))
+        # r is an eigenvalue once per component, -r once per bipartite component;
+        # pin both, or sqrt(lambda + r) in the closed forms magnifies noise at -r.
+        spec = list(sym_eigenvalues(adjacency_matrix(g)).values)
+        components, bipartite = component_counts(g)
+        for i in [*range(components), *range(len(spec) - bipartite, len(spec))]:
+            want = r if i < components else -r
+            if abs(spec[i] - want) > BASE_TOL:
+                raise ValueError(f"adjacency eigenvalue {spec[i]!r} should be {want}")
+            spec[i] = float(want)
+        return cls(p=g.p, q=g.q, r=r, base_spectrum=tuple(spec),
+                   connected=components == 1)
 
 
 def _merge(defaults: Mapping[str, float],
@@ -59,108 +65,94 @@ def _merge(defaults: Mapping[str, float],
     return out
 
 
-# Discriminants are built from the numerically computed base spectrum, so an
-# analytic double root shows up as |disc| ~ 1e-15 * scale^2 and sqrt would
-# inflate that noise to ~1e-8.  Snap such values to an exact double root.
-DISC_SNAP = 4e-12
-
-
-def _quad_roots(total: float, disc: float) -> tuple[float, float]:
-    if disc <= DISC_SNAP * (1.0 + total * total):
-        half = total / 2.0
-        return half, half
-    root = math.sqrt(disc)
-    return (total + root) / 2.0, (total - root) / 2.0
+def _pair(x: float, y: float, z: float) -> tuple[float, float]:
+    """Eigenvalues of [[x, y], [y, z]]; no subtraction under the root."""
+    mid, half = (x + z) / 2.0, math.hypot(x - z, 2.0 * y) / 2.0
+    return mid + half, mid - half
 
 
 MIDDLE_COEFFS: dict[str, float] = {
-    "rep_deg": 2.0,        # repeated value 2*a*r ...
-    "rep_adj": 2.0,        # ... minus 2*(1-a)
-    "pair_shift": 2.0,     # root sum uses lambda - 2
-    "pair_deg_gain": 2.0,  # root sum uses r*(1 + 2a)
-    "disc_tail": 4.0,      # discriminant tail 4*(1-a)*((1-a) - a*r)
+    "rep_deg": 2.0,     # repeated value 2*a*r ...
+    "rep_adj": 2.0,     # ... minus 2*(1-a)
+    "edge_deg": 2.0,    # edge-vertex degree 2r
+    "edge_shift": 2.0,  # edge-vertex adjacency R^T R - 2I
 }
 
 
 def cf_middle_spectrum(b: RegularBase, a: AlphaValue,
                        coeffs: Optional[Mapping[str, float]] = None) -> Spectrum:
-    """Spectrum of M_a(middle(G)) for an r-regular base, r >= 2."""
+    """Spectrum of M_a(middle(G)) for an r-regular base, r >= 2.
+
+    Per lambda, the block [[a*r, y], [y, 2*a*r + (1-a)*(lambda + r - 2)]]
+    with y = (1-a)*sqrt(lambda + r), on x and R^T x (R the incidence
+    matrix); the kernel of R adds q - p values 2*a*r - 2*(1-a).
+    """
     if b.r < 2:
         raise ValueError(f"middle closed form needs r >= 2, got r={b.r}")
     c = _merge(MIDDLE_COEFFS, coeffs)
-    al = a.numeric
-    w = 1.0 - al
-    r = float(b.r)
+    al, w, r = a.numeric, 1.0 - a.numeric, float(b.r)
     vals = [c["rep_deg"] * al * r - c["rep_adj"] * w] * (b.q - b.p)
     for lam in b.base_spectrum:
-        total = w * (lam - c["pair_shift"]) + r * (1.0 + c["pair_deg_gain"] * al)
-        disc = (w * lam + r) ** 2 + c["disc_tail"] * w * (w - al * r)
-        vals.extend(_quad_roots(total, disc))
+        vals.extend(_pair(al * r, w * math.sqrt(lam + r),
+                          c["edge_deg"] * al * r + w * (lam + r - c["edge_shift"])))
     return make_spectrum(vals)
 
 
 CENTRAL_COEFFS: dict[str, float] = {
-    "rep_gain": 2.0,       # repeated value 2*a
-    "first_deg_shift": 2.0,   # i=1 linear term a*(r + 2)
-    "first_one": 1.0,
-    "first_c_alpha": 2.0,  # i=1 constant 2*a*(p-1) ...
-    "first_c_deg": 2.0,    # ... minus 2*r*(1-a)
-    "pair_shift": 2.0,     # i>=2 linear term (p + 2)*a
-    "pair_one": 1.0,
-    "pair_p_gain": 2.0,    # i>=2 constant (2p - r)*a^2
-    "pair_alpha_gain": 2.0,  # i>=2 constant -2*a*(1-r)
+    "rep_gain": 2.0,   # repeated value 2*a
+    "edge_deg": 2.0,   # subdivision-vertex degree 2
+    "deg_one": 1.0,    # original-vertex degree p - 1
+    "comp_one": 1.0,   # complement adjacency J - I - A
+    "join": 1.0,       # J is p on the all-ones vector
 }
 
 
 def cf_central_spectrum(b: RegularBase, a: AlphaValue,
                         coeffs: Optional[Mapping[str, float]] = None) -> Spectrum:
-    """Spectrum of M_a(central(G)) for a connected r-regular base, r >= 2."""
+    """Spectrum of M_a(central(G)) for a connected r-regular base, r >= 2.
+
+    Per lambda, the block [[a*(p-1) - (1-a)*(lambda + 1), y], [y, 2*a]] with
+    y = (1-a)*sqrt(lambda + r), on x and R^T x, plus (1-a)*p in the corner
+    from J for the leading lambda = r; the kernel of R adds q - p values 2*a.
+    """
     if b.r < 2:
         raise ValueError(f"central closed form needs r >= 2, got r={b.r}")
     if not b.connected:
         raise ValueError("central closed form needs a connected base")
     c = _merge(CENTRAL_COEFFS, coeffs)
-    al = a.numeric
-    w = 1.0 - al
-    r, p = float(b.r), float(b.p)
+    al, w, r, p = a.numeric, 1.0 - a.numeric, float(b.r), float(b.p)
     vals = [c["rep_gain"] * al] * (b.q - b.p)
-    lin1 = r + c["first_one"] - p - al * (r + c["first_deg_shift"])
-    const1 = c["first_c_alpha"] * al * (p - 1.0) - c["first_c_deg"] * r * w
-    vals.extend(_quad_roots(-lin1, lin1 * lin1 - 4.0 * const1))
-    for lam in b.base_spectrum[1:]:
-        lin = w * lam - (p + c["pair_shift"]) * al + c["pair_one"]
-        const = (-(1.0 - al * al) * lam
-                 + (c["pair_p_gain"] * p - r) * al * al
-                 - c["pair_alpha_gain"] * al * (1.0 - r) - r)
-        vals.extend(_quad_roots(-lin, lin * lin - 4.0 * const))
+    for i, lam in enumerate(b.base_spectrum):
+        x = al * (p - c["deg_one"]) - w * (lam + c["comp_one"])
+        if i == 0:
+            x += c["join"] * w * p
+        vals.extend(_pair(x, w * math.sqrt(lam + r), c["edge_deg"] * al))
     return make_spectrum(vals)
 
 
 SPLITTING_COEFFS: dict[str, float] = {
-    "sum_shift": 2.0,   # root sum a*r*(m + 2)
-    "disc_sq": 1.0,     # (a*r*m)^2 scale
-    "disc_cross": 2.0,  # 2*a*m*r*(1-a)*lambda
-    "disc_quad": 4.0,   # (1 + 4m)*(1-a)^2*lambda^2
-    "rep": 1.0,         # repeated value a*r (m >= 2 only)
+    "orig_one": 1.0,   # original-vertex degree (m + 1)*r
+    "clone_deg": 1.0,  # clone degree r
+    "rep": 1.0,        # repeated value a*r (m >= 2 only)
 }
 
 
 def cf_splitting_spectrum(b: RegularBase, m: int, a: AlphaValue,
                           coeffs: Optional[Mapping[str, float]] = None) -> Spectrum:
-    """Spectrum of M_a(splitting_m(G)) for an r-regular base."""
+    """Spectrum of M_a(splitting_m(G)) for an r-regular base.
+
+    Per lambda, the block [[a*(m+1)*r + (1-a)*lambda, y], [y, a*r]] with
+    y = sqrt(m)*(1-a)*lambda, on x and x spread evenly over the m clone
+    layers; the other clone combinations add p*(m-1) values a*r.
+    """
     if m < 1:
         raise ValueError(f"splitting closed form needs m >= 1, got {m}")
     c = _merge(SPLITTING_COEFFS, coeffs)
-    al = a.numeric
-    w = 1.0 - al
-    r = float(b.r)
+    al, w, r = a.numeric, 1.0 - a.numeric, float(b.r)
     vals = [c["rep"] * al * r] * (b.p * (m - 1))
     for lam in b.base_spectrum:
-        total = al * r * (m + c["sum_shift"]) + w * lam
-        disc = (c["disc_sq"] * (al * r * m) ** 2
-                + c["disc_cross"] * al * m * r * w * lam
-                + (1.0 + c["disc_quad"] * m) * (w * lam) ** 2)
-        vals.extend(_quad_roots(total, disc))
+        vals.extend(_pair(al * (m + c["orig_one"]) * r + w * lam,
+                          math.sqrt(m) * w * lam, c["clone_deg"] * al * r))
     return make_spectrum(vals)
 
 
@@ -168,26 +160,23 @@ CLOSED_SPLITTING_COEFFS: dict[str, float] = {
     "orig_deg": 2.0,    # original-vertex degree 2r + 1
     "orig_one": 1.0,
     "clone_one": 1.0,   # clone degree r + 1
-    "match_one": 1.0,   # coupling (lambda + 1)^2
+    "match_one": 1.0,   # coupling (1-a)*(lambda + 1)
 }
 
 
 def cf_closed_splitting_spectrum(b: RegularBase, a: AlphaValue,
                                  coeffs: Optional[Mapping[str, float]] = None) -> Spectrum:
-    """Spectrum of M_a(closed_splitting(G)) for an r-regular base."""
+    """Spectrum of M_a(closed_splitting(G)) for an r-regular base.
+
+    Per lambda, the block [[a*(2r+1) + (1-a)*lambda, (1-a)*(lambda + 1)],
+    [(1-a)*(lambda + 1), a*(r+1)]], on x at the originals and at the clones.
+    """
     c = _merge(CLOSED_SPLITTING_COEFFS, coeffs)
-    al = a.numeric
-    w = 1.0 - al
-    r = float(b.r)
-    vals: list[float] = []
-    for lam in b.base_spectrum:
-        mu_orig = al * (c["orig_deg"] * r + c["orig_one"]) + w * lam
-        mu_clone = al * (r + c["clone_one"])
-        couple = w * (lam + c["match_one"])
-        total = mu_orig + mu_clone
-        disc = (mu_orig - mu_clone) ** 2 + 4.0 * couple * couple
-        vals.extend(_quad_roots(total, disc))
-    return make_spectrum(vals)
+    al, w, r = a.numeric, 1.0 - a.numeric, float(b.r)
+    return make_spectrum([
+        v for lam in b.base_spectrum
+        for v in _pair(al * (c["orig_deg"] * r + c["orig_one"]) + w * lam,
+                       w * (lam + c["match_one"]), al * (r + c["clone_one"]))])
 
 
 CLOSED_SHADOW_COEFFS: dict[str, float] = {
@@ -203,9 +192,7 @@ def cf_closed_shadow_spectrum(b: RegularBase, a: AlphaValue,
                               coeffs: Optional[Mapping[str, float]] = None) -> Spectrum:
     """Spectrum of M_a(closed_shadow(G)) for an r-regular base."""
     c = _merge(CLOSED_SHADOW_COEFFS, coeffs)
-    al = a.numeric
-    w = 1.0 - al
-    r = float(b.r)
+    al, w, r = a.numeric, 1.0 - a.numeric, float(b.r)
     vals = [c["flat_deg"] * al * (r + 1.0) - c["flat_one"]] * b.p
     vals.extend(c["pair_adj"] * w * lam + c["pair_deg"] * al * r + c["pair_one"]
                 for lam in b.base_spectrum)
@@ -220,18 +207,16 @@ EBD_COEFFS: dict[str, float] = {
 
 def cf_ebd_spectrum(b: RegularBase, a: AlphaValue,
                     coeffs: Optional[Mapping[str, float]] = None) -> Spectrum:
-    """Spectrum of M_a(ebd(G)) for an r-regular base."""
+    """Spectrum of M_a(ebd(G)) for an r-regular base.
+
+    Per lambda, the block [[a*(r+1), (1-a)*(lambda + 1)],
+    [(1-a)*(lambda + 1), a*(r+1)]], on x at both copies.
+    """
     c = _merge(EBD_COEFFS, coeffs)
-    al = a.numeric
-    w = 1.0 - al
-    r = float(b.r)
-    vals: list[float] = []
-    for lam in b.base_spectrum:
-        centre = al * (r + c["deg_one"])
-        half = w * (lam + c["adj_one"])
-        vals.append(centre + half)
-        vals.append(centre - half)
-    return make_spectrum(vals)
+    al, w, r = a.numeric, 1.0 - a.numeric, float(b.r)
+    centre = al * (r + c["deg_one"])
+    return make_spectrum([v for lam in b.base_spectrum
+                          for v in _pair(centre, w * (lam + c["adj_one"]), centre)])
 
 
 def cf_remark_energies(b: RegularBase, op: OpDescriptor | str, a: AlphaValue) -> float:
@@ -290,6 +275,10 @@ _CF_DISPATCH = {
 }
 
 CLOSED_FORM_OPS = tuple(_CF_DISPATCH)
+
+# What the batteries check: every operation, with splitting at m = 1, 2, 3.
+CLOSED_FORM_INSTANCES = ("middle", "central", "splitting:1", "splitting:2",
+                         "splitting:3", "closed-splitting", "closed-shadow", "ebd")
 
 COEFF_TABLES: dict[str, dict[str, float]] = {
     "middle": MIDDLE_COEFFS,

@@ -84,19 +84,28 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
-def is_connected(g: Graph) -> bool:
-    if g.p <= 1:
-        return True
+def component_counts(g: Graph) -> tuple[int, int]:
+    """Numbers of components and of bipartite ones, from one 2-colouring walk."""
     nbrs = neighbor_sets(g)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in nbrs[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.p
+    colour: list[Optional[int]] = [None] * g.p
+    components = bipartite = 0
+    for start in range(g.p):
+        if colour[start] is None:
+            colour[start], stack, clash = 0, [start], False
+            while stack:
+                v = stack.pop()
+                for w in nbrs[v]:
+                    if colour[w] is None:
+                        colour[w] = 1 - colour[v]
+                        stack.append(w)
+                    clash = clash or colour[w] == colour[v]
+            components += 1
+            bipartite += not clash
+    return components, bipartite
+
+
+def is_connected(g: Graph) -> bool:
+    return component_counts(g)[0] <= 1
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 from hypothesis import strategies as st
 
-from alphaenergy import (Graph, complete, complete_bipartite, cycle, petersen)
+from alphaenergy import (AlphaValue, Graph, RegularBase, complete,
+                         complete_bipartite, cycle, petersen)
 
 
 def random_graph(rng: random.Random, max_p: int = 30) -> Graph:
@@ -42,3 +44,22 @@ def regular_bases() -> list[tuple[str, Graph]]:
 @pytest.fixture(scope="session")
 def bases() -> list[tuple[str, Graph]]:
     return regular_bases()
+
+
+def printed_splitting_spectrum(g: Graph, m: int, a: AlphaValue) -> list[float]:
+    """Spectrum of M_a(splitting_m(g)) from the discriminant as printed.
+
+    Each base eigenvalue lambda gives the roots (total +- sqrt(disc))/2 of
+    the paper's quadratic, whose discriminant leads with (a*r*(m+2))^2
+    where the algebra gives (a*r*m)^2.  The two agree only at a = 0.
+    """
+    b = RegularBase.from_graph(g)
+    al, w, r = a.numeric, 1.0 - a.numeric, b.r
+    vals = [al * r] * (b.p * (m - 1))
+    for lam in b.base_spectrum:
+        total = al * r * (m + 2) + w * lam
+        disc = ((al * r * (m + 2)) ** 2 + 2.0 * al * m * r * w * lam
+                + (1.0 + 4.0 * m) * (w * lam) ** 2)
+        root = math.sqrt(disc)
+        vals.extend(((total + root) / 2.0, (total - root) / 2.0))
+    return sorted(vals, reverse=True)

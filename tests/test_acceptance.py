@@ -18,14 +18,15 @@ import pytest
 
 from alphaenergy import (COEFF_TABLES, AlphaValue, RegularBase, alpha,
                          alpha_energy, alpha_spectrum, a_alpha_exact,
-                         apply_op, cf_remark_energies, cf_splitting_spectrum,
-                         charpoly_exact, complete, complete_bipartite, cycle,
-                         degree_info, duplicate_graph, iterated_line_graph,
+                         apply_op, cf_remark_energies, charpoly_exact,
+                         complete, complete_bipartite, cycle, degree_info,
+                         duplicate_graph, iterated_line_graph,
                          multiset_deviation, observations_report, parse_op,
                          petersen, poly_roots_real, reference_energy,
                          shadow_graph, splitting_graph, table1, tenth_grid,
                          verify_closed_form)
-from conftest import random_graph, regular_bases
+from alphaenergy.closed_forms import CLOSED_FORM_INSTANCES
+from conftest import printed_splitting_spectrum, random_graph, regular_bases
 
 # ----------------------------------------------------------------------
 # frozen reference data (4-decimal published values, 10 columns = the
@@ -97,9 +98,6 @@ SPLITTING_ERRATA: dict[tuple[str, float], float] = {
 SPLITTING_BASES = {"Spl(C4)": cycle(4), "Spl(C5)": cycle(5),
                    "Spl(C6)": cycle(6), "Spl(K3,3)": complete_bipartite(3, 3)}
 
-# The printed discriminant for m = 1, as a scale on (alpha*r*m)^2.
-MISPRINTED_SPLITTING = {"disc_sq": 9.0}
-
 # (row, alpha) cases where the claim "one-fold splitting is hyperenergetic
 # for alpha >= 0.3" fails against the computed energies.  The published
 # values of these cells exceed the K_p energy, so the claim rests on the
@@ -111,10 +109,6 @@ SPLITTING_NOT_HYPERENERGETIC = frozenset({
     ("Spl(C6)", 0.3), ("Spl(C6)", 0.4), ("Spl(C6)", 0.5),
     ("Spl(K3,3)", 0.3), ("Spl(K3,3)", 0.4),
 })
-
-CLOSED_FORM_INSTANCES = ("middle", "central", "splitting:1", "splitting:2",
-                         "splitting:3", "closed-splitting", "closed-shadow",
-                         "ebd")
 
 # closed forms for middle/central need degree >= 2
 PRECONDITION_SKIPS = {("middle", "K2"), ("central", "K2")}
@@ -133,10 +127,8 @@ def _published_cells() -> dict[tuple[str, float], float]:
 def _misprinted_splitting_energy(g, a: AlphaValue) -> float:
     """Energy of Spl(g) from the closed form with the printed discriminant."""
     spl = splitting_graph(g, 1)
-    spec = cf_splitting_spectrum(RegularBase.from_graph(g), 1, a,
-                                 coeffs=MISPRINTED_SPLITTING)
     offset = 2.0 * a.numeric * spl.q / spl.p
-    return math.fsum(abs(v - offset) for v in spec.values)
+    return math.fsum(abs(v - offset) for v in printed_splitting_spectrum(g, 1, a))
 
 
 def test_criterion_1_reference_table():

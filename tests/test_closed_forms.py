@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 
 from alphaenergy import (CLOSED_FORM_OPS, COEFF_TABLES, AlphaValue,
-                         RegularBase, alpha, alpha_energy, cf_central_spectrum,
-                         cf_ebd_spectrum, cf_middle_spectrum,
-                         cf_remark_energies, cf_splitting_spectrum,
-                         closed_splitting_graph, complete, complete_bipartite,
-                         cycle, duplicate_graph, iterated_line_graph,
-                         multiset_deviation, path, petersen, shadow_graph,
+                         RegularBase, alpha, alpha_energy, alpha_spectrum,
+                         cf_central_spectrum, cf_ebd_spectrum,
+                         cf_middle_spectrum, cf_remark_energies,
+                         cf_splitting_spectrum, closed_splitting_graph,
+                         complete, complete_bipartite, cycle, duplicate_graph,
+                         iterated_line_graph, multiset_deviation, path,
+                         petersen, shadow_graph, splitting_graph,
                          verify_closed_form)
+from alphaenergy.cli import main
+from conftest import printed_splitting_spectrum
 
 SQ2 = math.sqrt(2.0)
 SQ5 = math.sqrt(5.0)
@@ -34,6 +38,26 @@ class TestRegularBase:
     def test_disconnected_flag(self):
         b = RegularBase.from_graph(duplicate_graph(cycle(4), 1))
         assert not b.connected
+
+    @pytest.mark.parametrize("g, r", [(cycle(4), 2), (cycle(8), 2),
+                                      (complete_bipartite(3, 3), 3)],
+                             ids=["C4", "C8", "K3,3"])
+    def test_bipartite_ends_in_exact_minus_r(self, g, r):
+        b = RegularBase.from_graph(g)
+        assert b.base_spectrum[0] == float(r)
+        assert b.base_spectrum[-1] == -float(r)
+
+    def test_pins_each_component(self):
+        # two disjoint bipartite squares: r and -r twice each
+        spec = RegularBase.from_graph(duplicate_graph(cycle(4), 1)).base_spectrum
+        assert spec[:2] == (2.0, 2.0) and spec[2] != 2.0
+        assert spec[-2:] == (-2.0, -2.0) and spec[-3] != -2.0
+
+    def test_non_bipartite_pins_only_the_degree(self):
+        spec = RegularBase.from_graph(petersen()).base_spectrum
+        assert spec[0] == 3.0
+        assert spec.count(3.0) == 1
+        assert -3.0 not in spec
 
 
 class TestFrozenSpectra:
@@ -130,17 +154,15 @@ class TestVerification:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_printed_splitting_discriminant_fails(self, m):
-        # the printed leading term (a*r*(m+2))^2 is (a*r*m)^2 scaled by
-        # ((m+2)/m)^2; it vanishes at alpha = 0, so only weights > 0 differ
-        printed = {"disc_sq": ((m + 2) / m) ** 2}
+        # the printed leading term (a*r*(m+2))^2 differs from (a*r*m)^2 only
+        # where alpha > 0, so the printed form passes at 0 and fails after
         for g in (cycle(5), complete(4), complete_bipartite(3, 3)):
-            rec = verify_closed_form(f"splitting:{m}", g, alpha("0"),
-                                     coeffs=printed, exact=False)
-            assert rec.passed, f"alpha=0 dev {rec.max_dev:.3e}"
-            for t in ("0.1", "0.5", "0.9"):
-                rec = verify_closed_form(f"splitting:{m}", g, alpha(t),
-                                         coeffs=printed, exact=False)
-                assert not rec.passed, f"alpha={t} dev {rec.max_dev:.3e}"
+            for t in ("0", "0.1", "0.5", "0.9"):
+                a = alpha(t)
+                numeric = alpha_spectrum(splitting_graph(g, m), a).values
+                dev = multiset_deviation(printed_splitting_spectrum(g, m, a),
+                                         numeric)
+                assert (dev <= 1e-8) == (t == "0"), f"alpha={t} dev {dev:.3e}"
 
     def test_perturbed_coefficient_fails(self):
         rec = verify_closed_form("ebd", cycle(5), alpha("0.3"),
@@ -156,6 +178,53 @@ class TestVerification:
         assert set(COEFF_TABLES) == set(CLOSED_FORM_OPS)
         assert "line" not in CLOSED_FORM_OPS
         assert "duplicate" not in CLOSED_FORM_OPS
+
+
+# Weights where a closed form's 2x2 block has a double root, by operation
+# instance: (instance, base, alpha*).  Middle's lambda = -r block of a
+# bipartite base is diagonal with equal corners at alpha = 2/(r+2); closed
+# splitting's lambda = -1 block at alpha = 1/(r+1); central K3's block at
+# alpha = 1; splitting's lambda = 0 block at alpha = 0.  ebd (lambda = -1)
+# and closed shadow are checked on the same bases and weights.
+DOUBLE_ROOTS = (
+    [("middle", "C4", cycle(4), 1 / 2), ("middle", "C6", cycle(6), 1 / 2),
+     ("middle", "K3,3", complete_bipartite(3, 3), 2 / 5),
+     ("middle", "K4,4", complete_bipartite(4, 4), 1 / 3)]
+    + [("closed-splitting", "K3", complete(3), 1 / 3),
+       ("closed-splitting", "K4", complete(4), 1 / 4),
+       ("closed-splitting", "K5", complete(5), 1 / 5),
+       ("closed-splitting", "C6", cycle(6), 1 / 3)]
+    + [("central", "K3", complete(3), 1.0)]
+    + [(f"splitting:{m}", "C4", cycle(4), 0.0) for m in (1, 2, 3)])
+NEAR = (0.0, 1e-7, -1e-7, 1e-6, -1e-6, 1e-5, -1e-5)
+
+
+@pytest.mark.parametrize("op", ["middle", "closed-splitting", "central",
+                                "splitting", "ebd", "closed-shadow"])
+def test_double_roots_pass_nearby(op):
+    cases = [c for c in DOUBLE_ROOTS if c[0].split(":")[0] == op]
+    if op in ("ebd", "closed-shadow"):
+        same = {(label, star): g for _, label, g, star in DOUBLE_ROOTS}
+        cases = [(op, label, g, star) for (label, star), g in same.items()]
+    failures = []
+    for op_text, label, g, star in cases:
+        for t in sorted({min(1.0, max(0.0, star + d)) for d in NEAR}):
+            rec = verify_closed_form(op_text, g, AlphaValue(numeric=t),
+                                     exact=False)
+            if not rec.passed:
+                failures.append(f"{op_text} {label} alpha={t!r}: "
+                                f"dev {rec.max_dev:.3e}")
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("command", [
+    "verify middle C4 --alphas 0.5000001:0.5000001:0.1",
+    "verify middle K3,3 --alphas 0.4000001:0.4000001:0.1",
+    "verify closed-splitting K4 --alphas 0.2500001:0.2500001:0.1",
+    "verify central K3 --alphas 0.9999999:0.9999999:0.1"])
+def test_verify_passes_next_to_double_root(command, capsys):
+    assert main(command.split()) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 class TestRemarkEnergies:

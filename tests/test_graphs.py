@@ -10,6 +10,7 @@ from alphaenergy import (EdgeListError, Graph, adjacency_matrix, complete,
                          complete_bipartite, cycle, degree_info,
                          is_connected, line_graph, path, petersen,
                          read_edge_list, write_edge_list)
+from alphaenergy.graphs import component_counts
 from conftest import graphs
 
 
@@ -110,6 +111,15 @@ class TestDegreesAndMatrices:
         assert not is_connected(Graph(4, ((0, 1), (2, 3))))
         assert not is_connected(Graph(2))
         assert is_connected(Graph(1))
+
+    @pytest.mark.parametrize("g, counts", [
+        (Graph(0), (0, 0)), (Graph(1), (1, 1)), (Graph(3), (3, 3)),
+        (path(6), (1, 1)), (cycle(6), (1, 1)), (cycle(5), (1, 0)),
+        (petersen(), (1, 0)), (complete_bipartite(2, 3), (1, 1)),
+        (Graph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6))),
+         (2, 1))])
+    def test_component_counts(self, g, counts):
+        assert component_counts(g) == counts
 
 
 class TestEdgeListFormat:
