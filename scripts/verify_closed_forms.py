@@ -31,13 +31,25 @@ def alpha_grid(step: Fraction) -> list[AlphaValue]:
     return grid
 
 
+def grid_step(text: str) -> Fraction:
+    """Parse the weight grid step: a fraction in (0, 1]."""
+    try:
+        step = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        step = None
+    if step is None or not 0 < step <= 1:
+        raise argparse.ArgumentTypeError(f"step must be a fraction in (0, 1], got {text!r}")
+    return step
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--tol", type=float, default=1e-8)
-    ap.add_argument("--step", default="1/4", help="weight grid step (fraction)")
+    ap.add_argument("--step", type=grid_step, default="1/4",
+                    help="weight grid step, a fraction in (0, 1]")
     args = ap.parse_args(argv)
 
-    grid = alpha_grid(Fraction(args.step))
+    grid = alpha_grid(args.step)
     failures = 0
     for op in CLOSED_FORM_INSTANCES:
         for label, g in BASES:

@@ -5,8 +5,9 @@ Two independent routes to a spectrum live here on purpose:
 * ``sym_eigenvalues`` is a cyclic-by-row Jacobi iteration in float64.
 * ``charpoly_exact`` + ``poly_roots_real`` go through exact arithmetic
   (Hessenberg reduction mod 31-bit primes with a CRT lift past a Hadamard
-  bound, Yun square-free splitting, Sturm bisection) and never touch
-  floating point until the final root refinement.
+  bound, then Yun square-free splitting and Sturm bisection at dyadic
+  points m / 2**e in Python integers) and touch floating point only when
+  each refined root is rounded to a float.
 
 Keep them independent; tests compare one against the other.
 """
@@ -76,8 +77,7 @@ def _cluster(values: Sequence[float], tol: float) -> tuple[tuple[float, int], ..
 
 def make_spectrum(values: Iterable[float],
                   trace: Optional[float] = None,
-                  scale: Optional[float] = None,
-                  group_tol: float = GROUP_TOL) -> Spectrum:
+                  scale: Optional[float] = None) -> Spectrum:
     """Sort values and cluster multiplicities.
 
     When ``trace`` is given, the sum of values must reproduce it within
@@ -89,7 +89,7 @@ def make_spectrum(values: Iterable[float],
         err = abs(math.fsum(vals) - trace)
         if err > tol:
             raise ValueError(f"eigenvalue sum off trace by {err:.3e} (tol {tol:.3e})")
-    return Spectrum(values=vals, groups=_cluster(vals, group_tol))
+    return Spectrum(values=vals, groups=_cluster(vals, GROUP_TOL))
 
 
 def multiset_deviation(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -363,25 +363,25 @@ def _gcd_int(u: Sequence[int], v: Sequence[int]) -> list[int]:
 
 
 def _div_exact(u: Sequence[int], v: Sequence[int]) -> list[int]:
-    """Exact division of integer polynomials (raises if not exact)."""
-    num = [Fraction(x) for x in u]
+    """Exact division of integer polynomials (raises if not exact).
+
+    The divisors here are primitive gcds, so by Gauss's lemma an exact
+    quotient has integer coefficients and ``divmod`` finds each one.
+    """
+    num = list(u)
     dv = len(v) - 1
-    lv = Fraction(v[-1])
-    quot = [Fraction(0)] * (len(u) - dv)
+    quot = [0] * (len(u) - dv)
     for k in range(len(num) - 1, dv - 1, -1):
-        c = num[k] / lv
+        c, rem = divmod(num[k], v[-1])
+        if rem:
+            raise ArithmeticError("polynomial quotient was not integral")
         quot[k - dv] = c
         if c:
             for idx in range(dv + 1):
                 num[k - dv + idx] -= c * v[idx]
     if any(num):
         raise ArithmeticError("polynomial division was not exact")
-    out = []
-    for c in quot:
-        if c.denominator != 1:
-            raise ArithmeticError("polynomial quotient was not integral")
-        out.append(int(c))
-    return _strip(out)
+    return _strip(quot)
 
 
 def _sub_int(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -417,20 +417,16 @@ def _yun_squarefree(f: list[int]) -> list[tuple[list[int], int]]:
     return out
 
 
-def _sign_at(c: Sequence[int], x: Fraction) -> int:
-    """Sign of the integer polynomial at a rational point.
+def _sign_at(c: Sequence[int], m: int, e: int) -> int:
+    """Sign of the integer polynomial at the dyadic point m / 2**e.
 
-    Evaluates den^n * f(num/den) = sum c_j num^j den^(n-j), an integer,
-    by Horner in num with accumulated powers of den.
+    Evaluates 2**(e*n) * f(m / 2**e) = sum c_j m^j 2**(e*(n-j)), an
+    integer, by Horner in m.
     """
-    num, den = x.numerator, x.denominator
     n = len(c) - 1
     acc = 0
-    dp = 1
     for k in range(n + 1):
-        acc = acc * num + c[n - k] * dp
-        if k < n:
-            dp *= den
+        acc = acc * m + (c[n - k] << (e * k))
     return (acc > 0) - (acc < 0)
 
 
@@ -446,67 +442,57 @@ def _sturm_chain(f: list[int]) -> list[list[int]]:
     return chain
 
 
-def _variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
-    signs = [s for s in (_sign_at(c, x) for c in chain) if s != 0]
+def _variations(chain: Sequence[Sequence[int]], m: int, e: int) -> int:
+    signs = [s for s in (_sign_at(c, m, e) for c in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def _cauchy_bound(f: Sequence[int]) -> Fraction:
-    lead = abs(f[-1])
-    top = max(abs(c) for c in f[:-1]) if len(f) > 1 else 0
-    return Fraction(top, lead) + 2
+def _nonroot_point(f: Sequence[int], lo: int, hi: int, e: int) -> tuple[int, int]:
+    """A point strictly inside (lo, hi) / 2**e where f is non-zero.
+
+    Tries the midpoint, then moves right of it by 1/4, 1/8, ... of the
+    width.  The candidates are distinct, so one of the first deg(f) + 1
+    is not a root.
+    """
+    mid = m = lo + hi
+    j = 0
+    while _sign_at(f, m, e + 1 + j) == 0:
+        j += 1
+        m = (mid << j) + hi - lo
+    return m, e + 1 + j
 
 
-def _nonroot_point(f: Sequence[int], lo: Fraction, hi: Fraction) -> Fraction:
-    mid = (lo + hi) / 2
-    if _sign_at(f, mid) != 0:
-        return mid
-    span = hi - lo
-    for k in (3, 5, 7, 11, 13, 17, 19, 23):
-        cand = mid + span / (2 * k)
-        if cand < hi and _sign_at(f, cand) != 0:
-            return cand
-    raise ArithmeticError("could not find a non-root bisection point")
-
-
-def _isolate(f: list[int], chain: list[list[int]],
-             lo: Fraction, hi: Fraction, count: int,
-             depth: int = 0) -> list[tuple[Fraction, Fraction]]:
+def _isolate(f: list[int], chain: list[list[int]], lo: int, hi: int, e: int,
+             count: int, depth: int = 0) -> list[tuple[int, int, int]]:
+    """Split (lo, hi) / 2**e into intervals holding one root each."""
     if count == 0:
         return []
     if count == 1:
-        return [(lo, hi)]
+        return [(lo, hi, e)]
     if depth > 200:
         raise ArithmeticError("root isolation failed to separate roots")
-    mid = _nonroot_point(f, lo, hi)
-    left = _variations(chain, lo) - _variations(chain, mid)
-    return (_isolate(f, chain, lo, mid, left, depth + 1)
-            + _isolate(f, chain, mid, hi, count - left, depth + 1))
+    mid, em = _nonroot_point(f, lo, hi, e)
+    lo, hi = lo << (em - e), hi << (em - e)
+    left = _variations(chain, lo, em) - _variations(chain, mid, em)
+    return (_isolate(f, chain, lo, mid, em, left, depth + 1)
+            + _isolate(f, chain, mid, hi, em, count - left, depth + 1))
 
 
-def _refine(f: Sequence[int], lo: Fraction, hi: Fraction) -> float:
-    """Bisect a bracketing interval with exact signs down to ~1e-13 width."""
-    slo = _sign_at(f, lo)
-    shi = _sign_at(f, hi)
-    if slo == 0:
-        return float(lo)
-    if shi == 0:
-        return float(hi)
-    if slo * shi > 0:
+def _refine(f: Sequence[int], lo: int, hi: int, e: int) -> float:
+    """Bisect a bracketing interval with exact signs down to 2**-44 width."""
+    slo = _sign_at(f, lo, e)
+    if slo * _sign_at(f, hi, e) >= 0:
         raise ArithmeticError("interval does not bracket a sign change")
-    width_tol = Fraction(1, 10 ** 13)
-    for _ in range(220):
-        if hi - lo <= width_tol:
-            break
-        mid = (lo + hi) / 2
-        sm = _sign_at(f, mid)
+    while (hi - lo) << 44 > 1 << e:
+        mid, e = lo + hi, e + 1
+        sm = _sign_at(f, mid, e)
         if sm == 0:
-            return float(mid)
-        if sm * slo < 0:
-            hi = mid
+            return mid / (1 << e)
+        if sm == slo:
+            lo, hi = mid, 2 * hi
         else:
-            lo, slo = mid, sm
-    return float((lo + hi) / 2)
+            lo, hi = 2 * lo, mid
+    return (lo + hi) / (1 << (e + 1))
 
 
 def poly_roots_real(pl: RationalPoly) -> list[float]:
@@ -532,20 +518,19 @@ def poly_roots_real(pl: RationalPoly) -> list[float]:
     roots: list[float] = []
     for factor, mult in _yun_squarefree(f):
         deg = len(factor) - 1
-        if deg == 0:
-            continue
         if deg == 1:
-            roots.extend([float(Fraction(-factor[0], factor[1]))] * mult)
+            roots.extend([-factor[0] / factor[1]] * mult)
             continue
         chain = _sturm_chain(factor)
-        bound = _cauchy_bound(factor)
-        lo, hi = -bound, bound
-        n_real = _variations(chain, lo) - _variations(chain, hi)
+        # Cauchy: every root lies strictly inside +-(1 + max|c_j| / |c_n|) <= 2**b
+        b = (max(abs(c) for c in factor[:-1]) // abs(factor[-1]) + 1).bit_length()
+        lo, hi = -(1 << b), 1 << b
+        n_real = _variations(chain, lo, 0) - _variations(chain, hi, 0)
         if n_real != deg:
             raise ArithmeticError(
                 f"factor of degree {deg} has only {n_real} real roots")
-        for a, b in _isolate(factor, chain, lo, hi, n_real):
-            roots.extend([_refine(factor, a, b)] * mult)
+        for interval in _isolate(factor, chain, lo, hi, 0, n_real):
+            roots.extend([_refine(factor, *interval)] * mult)
     roots.sort(reverse=True)
     if len(roots) != len(coeffs) - 1:
         raise ArithmeticError("lost roots during isolation")

@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphaenergy import (RationalPoly, Spectrum, SymMatrix, a_alpha_exact,
-                         adjacency_matrix, alpha, charpoly_exact,
+                         adjacency_matrix, alpha, charpoly_exact, complete,
                          complete_bipartite, cycle, make_spectrum,
                          multiset_deviation, petersen, poly_roots_real,
                          sym_eigenvalues)
+from alphaenergy.linalg import _div_exact, _nonroot_point, _yun_squarefree
 
 
 def _sym_random(rng: random.Random, n: int, span: float = 5.0) -> np.ndarray:
@@ -231,7 +232,74 @@ class TestCharpolyAgainstDeterminant:
                                          for j in range(max(0, i - 2), min(64, i + 2))}))
 
 
+def _from_roots(*roots) -> RationalPoly:
+    """prod (x - r) with rational coefficients, ascending."""
+    c = [Fraction(1)]
+    for r in roots:
+        c = [a - Fraction(r) * b for a, b in zip([Fraction(0)] + c, c + [Fraction(0)])]
+    return RationalPoly(tuple(c))
+
+
+def _value(c, x: Fraction) -> Fraction:
+    value = Fraction(0)
+    for a in reversed(c):
+        value = value * x + a
+    return value
+
+
+ROOT_TOL = Fraction(1, 2 ** 43)
+
+
+def _assert_roots_accurate(pl: RationalPoly) -> None:
+    """Each root lies within 2**-43 of a sign change of a square-free factor.
+
+    The factors are evaluated here in ``Fraction`` arithmetic, apart from
+    the integer evaluator that isolates the roots.  Each factor of degree
+    d and multiplicity m must account for exactly d * m of the roots.
+    """
+    coeffs = pl.coefficients
+    s = math.lcm(*(c.denominator for c in coeffs))
+    roots = poly_roots_real(pl)
+    assert len(roots) == pl.degree
+    found = 0
+    for g, mult in _yun_squarefree([int(c * s) for c in coeffs]):
+        near = [r for r in roots
+                if _value(g, Fraction(r) - ROOT_TOL) * _value(g, Fraction(r) + ROOT_TOL) <= 0]
+        assert len(near) == (len(g) - 1) * mult, (g, near)
+        found += len(near)
+    assert found == len(roots)
+
+
 class TestRootIsolation:
+    @pytest.mark.parametrize("pl", [
+        charpoly_exact(a_alpha_exact(complete(8), alpha(0))),
+        charpoly_exact(a_alpha_exact(complete(32), alpha(0))),
+        charpoly_exact(a_alpha_exact(complete(64), alpha(0))),
+        _from_roots(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 12), Fraction(-7, 2)),
+        RationalPoly((0, -2, 0, 1)),          # root 0 is the first midpoint
+        RationalPoly((2, 0, -3, 0, 1)),       # (x^2 - 1)(x^2 - 2)
+        _from_roots(0, 2, -2, Fraction(1, 2), Fraction(1, 4)),
+        charpoly_exact(a_alpha_exact(petersen(), alpha("0.500001"))),
+    ], ids=["K8", "K32", "K64", "cluster", "x3-2x", "quartic", "dyadic", "petersen"])
+    def test_roots_within_2_pow_43_of_sign_change(self, pl):
+        _assert_roots_accurate(pl)
+
+    def test_nonroot_point_moves_right_inside_interval(self):
+        # x(x - 4)(x - 2)(x - 1) on (-8, 8): the midpoint and the points a
+        # quarter, an eighth and a sixteenth of the width right of it are
+        # roots, so the fifth candidate, 1/2, is taken
+        f = [0, -8, 14, -7, 1]
+        assert _nonroot_point(f, -8, 8, 0) == (16, 5)
+        roots = poly_roots_real(RationalPoly(tuple(f)))
+        assert multiset_deviation(roots, [4.0, 2.0, 1.0, 0.0]) <= 2.0 ** -44
+
+    def test_div_exact(self):
+        assert _div_exact([-1, 0, 1], [1, 1]) == [-1, 1]
+        with pytest.raises(ArithmeticError, match="not exact"):
+            _div_exact([1, 0, 1], [1, 1])          # (x^2 + 1) / (x + 1)
+        with pytest.raises(ArithmeticError, match="not integral"):
+            _div_exact([0, 2], [0, 3])             # 2x / 3x
+
     def test_linear_and_quadratic(self):
         assert multiset_deviation(poly_roots_real(RationalPoly((-1, 0, 1))),
                                   [1.0, -1.0]) < 1e-12
@@ -283,6 +351,17 @@ def small_int_sym(draw):
         for j in range(i, n):
             a[i][j] = a[j][i] = next(it)
     return a
+
+
+@given(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=8),
+                min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_rational_roots_recovered(roots):
+    # the distinct roots form square-free factors of degree up to 6, so
+    # isolation and refinement run and often meet a root at a dyadic point
+    got = poly_roots_real(_from_roots(*roots))
+    want = sorted(roots, reverse=True)
+    assert all(abs(Fraction(g) - w) <= Fraction(1, 2 ** 44) for g, w in zip(got, want))
 
 
 @given(small_int_sym())
