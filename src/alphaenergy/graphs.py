@@ -20,6 +20,12 @@ class EdgeListError(ValueError):
     """Malformed edge-list input."""
 
 
+def _check_cap(p: int) -> None:
+    """Reject a vertex count over MAX_VERTICES, before anything is built."""
+    if p > MAX_VERTICES:
+        raise ValueError(f"vertex count {p} exceeds cap {MAX_VERTICES}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..p-1.
@@ -35,8 +41,7 @@ class Graph:
     def __post_init__(self) -> None:
         if self.p < 0:
             raise ValueError(f"vertex count must be non-negative, got {self.p}")
-        if self.p > MAX_VERTICES:
-            raise ValueError(f"vertex count {self.p} exceeds cap {MAX_VERTICES}")
+        _check_cap(self.p)
         seen: set[tuple[int, int]] = set()
         for i, j in self.edges:
             if i == j:
@@ -114,24 +119,28 @@ def is_connected(g: Graph) -> bool:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
+    _check_cap(n)
     return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"path needs n >= 1, got {n}")
+    _check_cap(n)
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
+    _check_cap(n)
     return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError(f"complete bipartite needs both parts >= 1, got {a},{b}")
+    _check_cap(a + b)
     return Graph(a + b, tuple((i, a + j) for i in range(a) for j in range(b)))
 
 

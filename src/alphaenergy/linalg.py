@@ -5,9 +5,9 @@ Two independent routes to a spectrum live here on purpose:
 * ``sym_eigenvalues`` is a cyclic-by-row Jacobi iteration in float64.
 * ``charpoly_exact`` + ``poly_roots_real`` go through exact arithmetic
   (Hessenberg reduction mod 31-bit primes with a CRT lift past a Hadamard
-  bound, then Yun square-free splitting and Sturm bisection at dyadic
-  points m / 2**e in Python integers) and touch floating point only when
-  each refined root is rounded to a float.
+  bound, then Yun square-free splitting, Sturm isolation and quadratic
+  interval refinement at dyadic points m / 2**e in Python integers) and
+  touch floating point only when each refined root is rounded to a float.
 
 Keep them independent; tests compare one against the other.
 """
@@ -267,7 +267,8 @@ def charpoly_exact(mat: Sequence[Sequence[Fraction | int]]) -> RationalPoly:
     every prime, so the result is exact and deterministic.  Coefficient j
     of det(xI - M) is then c_j / s**(n - j).
     """
-    rows = [[Fraction(x) for x in row] for row in mat]
+    # int and Fraction both carry numerator and denominator; convert the rest
+    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in r] for r in mat]
     n = len(rows)
     if n < 1:
         raise ValueError("matrix must be at least 1x1")
@@ -417,17 +418,19 @@ def _yun_squarefree(f: list[int]) -> list[tuple[list[int], int]]:
     return out
 
 
-def _sign_at(c: Sequence[int], m: int, e: int) -> int:
-    """Sign of the integer polynomial at the dyadic point m / 2**e.
-
-    Evaluates 2**(e*n) * f(m / 2**e) = sum c_j m^j 2**(e*(n-j)), an
-    integer, by Horner in m.
-    """
+def _value_at(c: Sequence[int], m: int, e: int) -> int:
+    """The integer 2**(e*n) * f(m / 2**e) = sum c_j m^j 2**(e*(n-j)), by Horner."""
     n = len(c) - 1
     acc = 0
     for k in range(n + 1):
         acc = acc * m + (c[n - k] << (e * k))
-    return (acc > 0) - (acc < 0)
+    return acc
+
+
+def _sign_at(c: Sequence[int], m: int, e: int) -> int:
+    """Sign of the integer polynomial at the dyadic point m / 2**e."""
+    v = _value_at(c, m, e)
+    return (v > 0) - (v < 0)
 
 
 def _sturm_chain(f: list[int]) -> list[list[int]]:
@@ -463,35 +466,65 @@ def _nonroot_point(f: Sequence[int], lo: int, hi: int, e: int) -> tuple[int, int
 
 
 def _isolate(f: list[int], chain: list[list[int]], lo: int, hi: int, e: int,
-             count: int, depth: int = 0) -> list[tuple[int, int, int]]:
-    """Split (lo, hi) / 2**e into intervals holding one root each."""
-    if count == 0:
+             vlo: int, vhi: int, depth: int = 0) -> list[tuple[int, int, int]]:
+    """Split (lo, hi) / 2**e into intervals holding one root each.
+
+    ``vlo`` and ``vhi`` are the Sturm sign variations at the two ends, so
+    each split evaluates the chain only at its new point.
+    """
+    if vlo - vhi == 0:
         return []
-    if count == 1:
+    if vlo - vhi == 1:
         return [(lo, hi, e)]
     if depth > 200:
         raise ArithmeticError("root isolation failed to separate roots")
     mid, em = _nonroot_point(f, lo, hi, e)
     lo, hi = lo << (em - e), hi << (em - e)
-    left = _variations(chain, lo, em) - _variations(chain, mid, em)
-    return (_isolate(f, chain, lo, mid, em, left, depth + 1)
-            + _isolate(f, chain, mid, hi, em, count - left, depth + 1))
+    vmid = _variations(chain, mid, em)
+    return (_isolate(f, chain, lo, mid, em, vlo, vmid, depth + 1)
+            + _isolate(f, chain, mid, hi, em, vmid, vhi, depth + 1))
 
 
 def _refine(f: Sequence[int], lo: int, hi: int, e: int) -> float:
-    """Bisect a bracketing interval with exact signs down to 2**-44 width."""
-    slo = _sign_at(f, lo, e)
-    if slo * _sign_at(f, hi, e) >= 0:
+    """Quadratic interval refinement (Abbott) with exact values, to 2**-44.
+
+    The secant picks a point of the grid that cuts (lo, hi) / 2**e into
+    N = 2**t parts; it and its neighbour towards the root are evaluated.
+    If they bracket the root, N squares; if not, the interval is bisected
+    and N goes to max(4, sqrt N).  Kept values 2**(e*n) * f shift left by
+    t*n when the exponent grows by t.
+    """
+    n = len(f) - 1
+    vlo, vhi = _value_at(f, lo, e), _value_at(f, hi, e)
+    if not (vlo < 0 < vhi or vhi < 0 < vlo):
         raise ArithmeticError("interval does not bracket a sign change")
+    t = 2
     while (hi - lo) << 44 > 1 << e:
-        mid, e = lo + hi, e + 1
-        sm = _sign_at(f, mid, e)
-        if sm == 0:
+        # secant estimate round(N * vlo / (vlo - vhi)), kept off the ends
+        num, den = vlo << t, vlo - vhi
+        k = min(max((2 * num + den) // (2 * den), 1), (1 << t) - 1)
+        et, base, step = e + t, lo << t, hi - lo
+        vk = _value_at(f, base + k * step, et)
+        if vk == 0:
+            return (base + k * step) / (1 << et)
+        j = k + 1 if (vk < 0) == (vlo < 0) else k - 1
+        vj = ((vhi if j else vlo) << (t * n) if j in (0, 1 << t)
+              else _value_at(f, base + j * step, et))
+        if vj == 0:
+            return (base + j * step) / (1 << et)
+        if (vj < 0) != (vk < 0):
+            if j < k:
+                k, j, vk, vj = j, k, vj, vk
+            lo, hi, vlo, vhi, e, t = base + k * step, base + j * step, vk, vj, et, 2 * t
+            continue
+        mid, e, t = lo + hi, e + 1, max(2, t // 2)
+        vm = _value_at(f, mid, e)
+        if vm == 0:
             return mid / (1 << e)
-        if sm == slo:
-            lo, hi = mid, 2 * hi
+        if (vm < 0) == (vlo < 0):
+            lo, hi, vlo, vhi = mid, 2 * hi, vm, vhi << n
         else:
-            lo, hi = 2 * lo, mid
+            lo, hi, vlo, vhi = 2 * lo, mid, vlo << n, vm
     return (lo + hi) / (1 << (e + 1))
 
 
@@ -525,11 +558,11 @@ def poly_roots_real(pl: RationalPoly) -> list[float]:
         # Cauchy: every root lies strictly inside +-(1 + max|c_j| / |c_n|) <= 2**b
         b = (max(abs(c) for c in factor[:-1]) // abs(factor[-1]) + 1).bit_length()
         lo, hi = -(1 << b), 1 << b
-        n_real = _variations(chain, lo, 0) - _variations(chain, hi, 0)
-        if n_real != deg:
+        vlo, vhi = _variations(chain, lo, 0), _variations(chain, hi, 0)
+        if vlo - vhi != deg:
             raise ArithmeticError(
-                f"factor of degree {deg} has only {n_real} real roots")
-        for interval in _isolate(factor, chain, lo, hi, 0, n_real):
+                f"factor of degree {deg} has only {vlo - vhi} real roots")
+        for interval in _isolate(factor, chain, lo, hi, 0, vlo, vhi):
             roots.extend([_refine(factor, *interval)] * mult)
     roots.sort(reverse=True)
     if len(roots) != len(coeffs) - 1:

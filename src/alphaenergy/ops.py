@@ -27,6 +27,8 @@ def _norm(i: int, j: int) -> tuple[int, int]:
 def middle_graph(g: Graph) -> Graph:
     """Subdivide every edge and join subdivision vertices of adjacent edges."""
     p = g.p
+    if p + g.q > MAX_VERTICES:
+        raise ValueError(f"middle graph would exceed {MAX_VERTICES} vertices")
     edges: list[tuple[int, int]] = []
     for e, (u, v) in enumerate(g.edges):
         edges.append((u, p + e))
@@ -44,6 +46,8 @@ def middle_graph(g: Graph) -> Graph:
 def central_graph(g: Graph) -> Graph:
     """Subdivide every edge and join every pair of non-adjacent originals."""
     p = g.p
+    if p + g.q > MAX_VERTICES:
+        raise ValueError(f"central graph would exceed {MAX_VERTICES} vertices")
     edges: list[tuple[int, int]] = []
     for e, (u, v) in enumerate(g.edges):
         edges.append((u, p + e))
@@ -127,6 +131,8 @@ def ebd_graph(g: Graph) -> Graph:
 
 def line_graph(g: Graph) -> Graph:
     """Vertices are the edges of g; adjacency is sharing an endpoint."""
+    if g.q > MAX_VERTICES:
+        raise ValueError(f"line graph would exceed {MAX_VERTICES} vertices")
     incident: list[list[int]] = [[] for _ in range(g.p)]
     for e, (u, v) in enumerate(g.edges):
         incident[u].append(e)

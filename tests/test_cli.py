@@ -264,6 +264,12 @@ class TestUsageContract:
         assert rc == 2
         assert "2002 vertices" in err
 
+    def test_family_over_cap_rejected_before_building(self, capsys):
+        rc, out, err = run(capsys, "gen", "C1000000")
+        assert rc == 2
+        assert err.startswith("error:") and "exceeds cap" in err
+        assert out == ""
+
     def test_grid_point_cap_is_inclusive(self):
         grid = _parse_alpha_grid("0:0.5:1/20000")
         assert len(grid) == MAX_GRID_POINTS

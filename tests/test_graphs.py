@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from alphaenergy import (EdgeListError, Graph, adjacency_matrix, complete,
                          complete_bipartite, cycle, degree_info,
                          is_connected, line_graph, path, petersen,
                          read_edge_list, write_edge_list)
+from alphaenergy import graphs as graphs_module
 from alphaenergy.graphs import component_counts
 from conftest import graphs
 
@@ -49,6 +52,26 @@ class TestGenerators:
         g = cycle(4)
         assert g.p == 4
         assert g.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
+
+    @pytest.mark.parametrize("family", [cycle, path])
+    def test_cap_checked_before_building(self, family):
+        # a million edges would take about 160 MB; the check comes first
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds cap"):
+                family(10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_dense_families_check_the_cap(self, monkeypatch):
+        monkeypatch.setattr(graphs_module, "MAX_VERTICES", 8)
+        assert complete(8).p == complete_bipartite(4, 4).p == 8
+        with pytest.raises(ValueError, match="vertex count 9 exceeds cap 8"):
+            complete(9)
+        with pytest.raises(ValueError, match="vertex count 9 exceeds cap 8"):
+            complete_bipartite(4, 5)
 
     def test_cycle_too_small(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from alphaenergy import (RationalPoly, Spectrum, SymMatrix, a_alpha_exact,
                          complete_bipartite, cycle, make_spectrum,
                          multiset_deviation, petersen, poly_roots_real,
                          sym_eigenvalues)
+from alphaenergy import linalg
 from alphaenergy.linalg import _div_exact, _nonroot_point, _yun_squarefree
 
 
@@ -121,6 +122,18 @@ class TestCharpoly:
         pl = charpoly_exact(rows)
         assert pl.coefficients[-1] == 1
         assert pl.coefficients[-2] == -sum(rows[i][i] for i in range(5))
+
+    def test_entry_types_give_identical_coefficients(self):
+        halves = [[1, -3, 0], [-3, 2, 5], [0, 5, -1]]   # entries over 2
+        frac = charpoly_exact([[Fraction(x, 2) for x in row] for row in halves])
+        assert charpoly_exact([[x / 2 for x in row] for row in halves]) == frac
+        assert charpoly_exact([[f"{x}/2" for x in row] for row in halves]) == frac
+        assert charpoly_exact(np.array(halves) / 2) == frac
+        ints = charpoly_exact(halves)
+        assert charpoly_exact([[Fraction(x) for x in row] for row in halves]) == ints
+        assert charpoly_exact(np.array(halves, dtype=np.int64)) == ints
+        assert ints.coefficients == (18, -35, -2, 1)     # 18 = -det, -35 = -sum of 2x2 minors
+        assert all(type(c) is Fraction for c in ints.coefficients + frac.coefficients)
 
     def test_dimension_cap(self):
         big = [[int(i == j) for j in range(65)] for i in range(65)]
@@ -270,6 +283,33 @@ def _assert_roots_accurate(pl: RationalPoly) -> None:
     assert found == len(roots)
 
 
+def _refine_exponents(monkeypatch, pls) -> list[list[int]]:
+    """Find the roots of each polynomial; per ``_refine`` call, the exponents
+    of its ``_value_at`` calls."""
+    runs: list[list[int]] = []
+    inside = [False]
+    value_at, refine = linalg._value_at, linalg._refine
+
+    def traced_value_at(c, m, e):
+        if inside[0]:
+            runs[-1].append(e)
+        return value_at(c, m, e)
+
+    def traced_refine(*args):
+        runs.append([])
+        inside[0] = True
+        try:
+            return refine(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(linalg, "_value_at", traced_value_at)
+    monkeypatch.setattr(linalg, "_refine", traced_refine)
+    for pl in pls:
+        poly_roots_real(pl)
+    return runs
+
+
 class TestRootIsolation:
     @pytest.mark.parametrize("pl", [
         charpoly_exact(a_alpha_exact(complete(8), alpha(0))),
@@ -283,6 +323,49 @@ class TestRootIsolation:
     ], ids=["K8", "K32", "K64", "cluster", "x3-2x", "quartic", "dyadic", "petersen"])
     def test_roots_within_2_pow_43_of_sign_change(self, pl):
         _assert_roots_accurate(pl)
+
+    def test_refinement_is_quadratic(self, monkeypatch):
+        # bisection to 2**-44 takes about 41 evaluations per root
+        runs = _refine_exponents(monkeypatch, [
+            charpoly_exact(a_alpha_exact(complete(64), alpha(0))),
+            charpoly_exact(a_alpha_exact(petersen(), alpha("0.500001"))),
+            charpoly_exact(a_alpha_exact(cycle(32), alpha("0.3"))),
+        ])
+        assert len(runs) == 17
+        assert sum(map(len, runs)) / len(runs) <= 16
+
+    def test_refinement_bisects_after_a_missed_secant(self, monkeypatch):
+        # grid points lie at exponent e + t with t >= 2 and a bisection
+        # midpoint at e + 1, so the exponent falls only where a secant
+        # step missed and the interval was bisected
+        runs = _refine_exponents(monkeypatch, [RationalPoly((-2, 0, 1))])
+        assert any(b < a for run in runs for a, b in zip(run, run[1:]))
+
+    def test_sturm_chain_evaluated_once_per_split(self, monkeypatch):
+        calls = {"variations": 0, "splits": 0, "chains": 0}
+        variations, isolate, sturm_chain = (linalg._variations, linalg._isolate,
+                                            linalg._sturm_chain)
+
+        def traced_variations(*args):
+            calls["variations"] += 1
+            return variations(*args)
+
+        def traced_isolate(f, chain, lo, hi, e, vlo, vhi, depth=0):
+            calls["splits"] += vlo - vhi >= 2
+            return isolate(f, chain, lo, hi, e, vlo, vhi, depth)
+
+        def traced_sturm_chain(f):
+            calls["chains"] += 1
+            return sturm_chain(f)
+
+        monkeypatch.setattr(linalg, "_variations", traced_variations)
+        monkeypatch.setattr(linalg, "_isolate", traced_isolate)
+        monkeypatch.setattr(linalg, "_sturm_chain", traced_sturm_chain)
+        poly_roots_real(charpoly_exact(a_alpha_exact(cycle(32), alpha("0.3"))))
+        poly_roots_real(_from_roots(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 12),
+                                    Fraction(-7, 2), 5))
+        assert calls["splits"] > calls["chains"] > 0
+        assert calls["variations"] == calls["splits"] + 2 * calls["chains"]
 
     def test_nonroot_point_moves_right_inside_interval(self):
         # x(x - 4)(x - 2)(x - 1) on (-8, 8): the midpoint and the points a

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -220,6 +221,27 @@ class TestSizeGuards:
             splitting_graph(complete(100), 50)
         with pytest.raises(ValueError):
             shadow_graph(complete(100), 45)
+
+    @pytest.mark.parametrize("build, base, name", [
+        (middle_graph, complete(91), "middle"),     # 91 + 4095 vertices
+        (central_graph, complete(91), "central"),
+        (line_graph, complete(120), "line"),        # 7140 vertices
+    ])
+    def test_cap_checked_before_building(self, build, base, name):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{name} graph would exceed"):
+                build(base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_line_cap_checked_on_each_iteration(self):
+        # L(K30) has 435 vertices and 12180 edges, so L^2(K30) is over the cap
+        assert iterated_line_graph(complete(30), 1).q == 12180
+        with pytest.raises(ValueError, match="line graph would exceed"):
+            iterated_line_graph(complete(30), 2)
 
 
 class TestDispatch:
