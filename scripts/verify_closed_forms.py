@@ -14,8 +14,6 @@ from fractions import Fraction
 
 from alphaenergy.closed_forms import CLOSED_FORM_INSTANCES, verify_closed_form
 from alphaenergy.graphs import complete, complete_bipartite, cycle, petersen
-from alphaenergy.linalg import CHARPOLY_MAX_N
-from alphaenergy.ops import apply_op, parse_op
 from alphaenergy.spectra import AlphaValue
 
 BASES = [("C%d" % n, cycle(n)) for n in range(3, 9)]
@@ -55,14 +53,12 @@ def main(argv=None) -> int:
         for label, g in BASES:
             worst, exact_runs = 0.0, 0
             try:
-                # verify_closed_form runs the exact oracle by the same rule
-                small = apply_op(parse_op(op), g).p <= CHARPOLY_MAX_N
                 for a in grid:
                     rec = verify_closed_form(op, g, a, tol=args.tol, base_id=label)
                     worst = max(worst, rec.max_dev)
                     if rec.passed is False:
                         failures += 1
-                    exact_runs += small and a.exact is not None
+                    exact_runs += rec.exact_dev is not None
             except ValueError as e:
                 print(f"{op:16s} {label:9s} skip ({e})")
                 continue

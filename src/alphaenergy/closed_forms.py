@@ -298,6 +298,7 @@ class VerificationRecord:
     max_dev: float
     passed: bool
     paper_deviation: Optional[str] = None
+    exact_dev: Optional[float] = None   # None when the exact oracle did not run
 
     def to_json_dict(self) -> dict:
         out = {"op": self.op, "base": self.base, "alpha": self.alpha,
@@ -327,15 +328,18 @@ def verify_closed_form(op: OpDescriptor | str, g: Graph, a: AlphaValue,
     operated = apply_op(op, g)
     numeric = alpha_spectrum(operated, a)
     dev = multiset_deviation(cf.values, numeric.values)
+    exact_dev = None
     if exact is None:
         exact = a.exact is not None and operated.p <= CHARPOLY_MAX_N
     if exact:
         roots = poly_roots_real(charpoly_exact(a_alpha_exact(operated, a)))
-        dev = max(dev, multiset_deviation(cf.values, roots))
+        exact_dev = multiset_deviation(cf.values, roots)
+        dev = max(dev, exact_dev)
     return VerificationRecord(
         op=op_label(op),
         base=base_id if base_id is not None else f"graph(p={g.p},q={g.q})",
         alpha=a.numeric,
         max_dev=dev,
         passed=dev <= tol,
-        paper_deviation=PAPER_DEVIATIONS.get(op.name))
+        paper_deviation=PAPER_DEVIATIONS.get(op.name),
+        exact_dev=exact_dev)

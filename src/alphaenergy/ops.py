@@ -1,152 +1,120 @@
-"""Unary graph operations.
+"""Unary graph operations, built from two shared constructions.
 
-Every operation fixes a deterministic labelling of the result so that
-spectra, edge lists and tests are reproducible:
+* Joined copies: splitting, closed splitting, shadow, closed shadow,
+  extended bipartite double and duplicate take k copies of g, copy i of
+  vertex v labelled i*p + v (copy 0 = originals), and join chosen pairs of
+  copies along every edge of g or vertex to vertex.
+* Subdivision: middle and central keep the originals as 0..p-1 and add
+  vertex p+e (edge e in lexicographic order) joined to both ends of e.
 
-* middle/central: vertices 0..p-1 are the originals, p+e is the vertex
-  for edge e (in lexicographic edge order).
-* splitting/shadow: copy i of vertex v is i*p + v (copy 0 = originals).
-* closed splitting, closed shadow, extended bipartite double, duplicate:
-  the partner of vertex v is p + v.
-* line: vertex e of the result is edge e of the argument.
+Line: vertex e of the result is edge e of the argument.  These labellings
+are fixed so that spectra, edge lists and tests are reproducible.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .graphs import MAX_VERTICES, Graph
 
 
-def _norm(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i < j else (j, i)
+def _joined_copies(g: Graph, k: int, joined: Iterable[tuple[int, int]],
+                   matched: Iterable[tuple[int, int]], result: str) -> Graph:
+    """k copies of g, with copies joined along edges and vertex to vertex.
 
-
-def middle_graph(g: Graph) -> Graph:
-    """Subdivide every edge and join subdivision vertices of adjacent edges."""
+    A pair (i, j) in ``joined`` adds i*p+u ~ j*p+v and i*p+v ~ j*p+u for
+    every edge uv ((i, i) keeps copy i's own edges), one in ``matched``
+    i*p+v ~ j*p+v for every vertex v.  Pairs may be lazy: none is read
+    before the vertex cap passes, and ``joined`` not if g has no edge.
+    """
     p = g.p
-    if p + g.q > MAX_VERTICES:
-        raise ValueError(f"middle graph would exceed {MAX_VERTICES} vertices")
-    edges: list[tuple[int, int]] = []
-    for e, (u, v) in enumerate(g.edges):
-        edges.append((u, p + e))
-        edges.append((v, p + e))
-    incident: list[list[int]] = [[] for _ in range(p)]
+    if p * k > MAX_VERTICES:
+        raise ValueError(f"{result} would exceed {MAX_VERTICES} vertices")
+    edges = [(i * p + x, j * p + y) for i, j in (joined if g.edges else ())
+             for u, v in g.edges for x, y in ((u, v), (v, u))]
+    edges += [(i * p + v, j * p + v) for i, j in matched for v in range(p)]
+    return Graph(p * k, tuple(edges))
+
+
+def _adjacent_edges(g: Graph) -> Iterator[tuple[int, int]]:
+    """Yield each pair e < f of edge indices of g whose edges share an endpoint."""
+    incident: list[list[int]] = [[] for _ in range(g.p)]
     for e, (u, v) in enumerate(g.edges):
         incident[u].append(e)
         incident[v].append(e)
     for lst in incident:
-        for e, f in itertools.combinations(lst, 2):
-            edges.append((p + e, p + f))
+        yield from itertools.combinations(lst, 2)
+
+
+def _subdivision(g: Graph, extra: Iterable[tuple[int, int]], result: str) -> Graph:
+    """Each edge e = uv of g becomes the path u ~ p+e ~ v; ``extra`` edges
+    are added, and may be lazy: they are read after the vertex cap passes."""
+    p = g.p
+    if p + g.q > MAX_VERTICES:
+        raise ValueError(f"{result} would exceed {MAX_VERTICES} vertices")
+    edges = [(w, p + e) for e, uv in enumerate(g.edges) for w in uv]
+    edges += extra
     return Graph(p + g.q, tuple(edges))
+
+
+def middle_graph(g: Graph) -> Graph:
+    """Subdivide every edge and join subdivision vertices of adjacent edges."""
+    return _subdivision(g, ((g.p + e, g.p + f) for e, f in _adjacent_edges(g)),
+                        "middle graph")
 
 
 def central_graph(g: Graph) -> Graph:
     """Subdivide every edge and join every pair of non-adjacent originals."""
-    p = g.p
-    if p + g.q > MAX_VERTICES:
-        raise ValueError(f"central graph would exceed {MAX_VERTICES} vertices")
-    edges: list[tuple[int, int]] = []
-    for e, (u, v) in enumerate(g.edges):
-        edges.append((u, p + e))
-        edges.append((v, p + e))
     present = set(g.edges)
-    for u in range(p):
-        for v in range(u + 1, p):
-            if (u, v) not in present:
-                edges.append((u, v))
-    return Graph(p + g.q, tuple(edges))
+    return _subdivision(g, (uv for uv in itertools.combinations(range(g.p), 2)
+                            if uv not in present), "central graph")
 
 
 def splitting_graph(g: Graph, m: int) -> Graph:
     """Add m twin copies of every vertex, each joined to the original's neighbors."""
     if m < 1:
         raise ValueError(f"splitting needs m >= 1, got {m}")
-    p = g.p
-    if p * (m + 1) > MAX_VERTICES:
-        raise ValueError(f"splitting result would exceed {MAX_VERTICES} vertices")
-    edges = list(g.edges)
-    for i in range(1, m + 1):
-        for u, v in g.edges:
-            edges.append(_norm(u, i * p + v))
-            edges.append(_norm(v, i * p + u))
-    return Graph(p * (m + 1), tuple(edges))
+    return _joined_copies(g, m + 1, ((0, i) for i in range(m + 1)), (),
+                          "splitting result")
 
 
 def closed_splitting_graph(g: Graph) -> Graph:
     """Splitting with one copy, plus an edge from each vertex to its copy."""
-    p = g.p
-    if 2 * p > MAX_VERTICES:
-        raise ValueError(f"closed splitting result would exceed {MAX_VERTICES} vertices")
-    edges = list(g.edges)
-    edges.extend((v, p + v) for v in range(p))
-    for u, v in g.edges:
-        edges.append(_norm(u, p + v))
-        edges.append(_norm(v, p + u))
-    return Graph(2 * p, tuple(edges))
+    return _joined_copies(g, 2, ((0, 0), (0, 1)), ((0, 1),), "closed splitting result")
 
 
 def shadow_graph(g: Graph, m: int) -> Graph:
     """m copies of g with copy_i(u) ~ copy_j(v) for every edge uv and all i, j."""
     if m < 2:
         raise ValueError(f"shadow needs m >= 2, got {m}")
-    p = g.p
-    if p * m > MAX_VERTICES:
-        raise ValueError(f"shadow result would exceed {MAX_VERTICES} vertices")
-    edges = []
-    for u, v in g.edges:
-        for i in range(m):
-            for j in range(m):
-                edges.append(_norm(i * p + u, j * p + v))
-    return Graph(p * m, tuple(set(edges)))
+    return _joined_copies(g, m, ((i, j) for i in range(m) for j in range(i, m)), (),
+                          "shadow result")
 
 
 def closed_shadow_graph(g: Graph) -> Graph:
     """Two copies joined across every edge both ways, plus a perfect matching."""
-    p = g.p
-    if 2 * p > MAX_VERTICES:
-        raise ValueError(f"closed shadow result would exceed {MAX_VERTICES} vertices")
-    edges = list(g.edges)
-    edges.extend((p + u, p + v) for u, v in g.edges)
-    for u, v in g.edges:
-        edges.append(_norm(u, p + v))
-        edges.append(_norm(v, p + u))
-    edges.extend((v, p + v) for v in range(p))
-    return Graph(2 * p, tuple(edges))
+    return _joined_copies(g, 2, ((0, 0), (1, 1), (0, 1)), ((0, 1),), "closed shadow result")
 
 
 def ebd_graph(g: Graph) -> Graph:
     """Extended bipartite double: u_i ~ w_j iff i = j or ij is an edge."""
-    p = g.p
-    if 2 * p > MAX_VERTICES:
-        raise ValueError(f"extended bipartite double would exceed {MAX_VERTICES} vertices")
-    edges = [(v, p + v) for v in range(p)]
-    for u, v in g.edges:
-        edges.append((u, p + v))
-        edges.append((v, p + u))
-    return Graph(2 * p, tuple(edges))
+    return _joined_copies(g, 2, ((0, 1),), ((0, 1),), "extended bipartite double")
 
 
 def line_graph(g: Graph) -> Graph:
     """Vertices are the edges of g; adjacency is sharing an endpoint."""
     if g.q > MAX_VERTICES:
         raise ValueError(f"line graph would exceed {MAX_VERTICES} vertices")
-    incident: list[list[int]] = [[] for _ in range(g.p)]
-    for e, (u, v) in enumerate(g.edges):
-        incident[u].append(e)
-        incident[v].append(e)
-    edges = []
-    for lst in incident:
-        for e, f in itertools.combinations(lst, 2):
-            edges.append((e, f))
-    return Graph(g.q, tuple(set(edges)))
+    return Graph(g.q, tuple(_adjacent_edges(g)))
 
 
 def iterated_line_graph(g: Graph, k: int) -> Graph:
     if k < 0:
         raise ValueError(f"line iteration needs k >= 0, got {k}")
+    if k > MAX_VERTICES:
+        raise ValueError(f"line iteration needs k <= {MAX_VERTICES}, got {k}")
     out = g
     for _ in range(k):
         out = line_graph(out)
@@ -154,20 +122,15 @@ def iterated_line_graph(g: Graph, k: int) -> Graph:
 
 
 def duplicate_graph(g: Graph, m: int) -> Graph:
-    """m rounds of duplication; one round joins u' ~ v and v' ~ u per edge uv."""
+    """m rounds of u' ~ v, v' ~ u per edge uv: 2**m copies, each joined to
+    the copy whose index is its bitwise complement."""
     if m < 1:
         raise ValueError(f"duplication needs m >= 1, got {m}")
-    if g.p * 2 ** m > MAX_VERTICES:
+    if m >= MAX_VERTICES.bit_length():     # 2**m copies alone exceed the cap
         raise ValueError(f"duplication result would exceed {MAX_VERTICES} vertices")
-    out = g
-    for _ in range(m):
-        p = out.p
-        edges = []
-        for u, v in out.edges:
-            edges.append(_norm(u, p + v))
-            edges.append(_norm(v, p + u))
-        out = Graph(2 * p, tuple(edges))
-    return out
+    k = 1 << m
+    return _joined_copies(g, k, ((i, k - 1 - i) for i in range(k // 2)), (),
+                          "duplication result")
 
 
 class _Op(NamedTuple):

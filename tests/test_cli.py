@@ -247,8 +247,10 @@ class TestUsageContract:
         ("sweep", "K3", "--alphas", "0:2:1"),
         ("verify", "ebd", "C4", "--alphas", "0.5:1.5:0.5"),
         ("sweep", "K1", "--alphas", "0:0.5:1/20002"),
+        ("gen", "op:line:4097:C5"),
     ], ids=["empty-peer", "energy-over-cap", "sweep-over-cap", "classify-over-cap",
-            "sweep-grid-above-1", "verify-grid-above-1", "grid-over-point-cap"])
+            "sweep-grid-above-1", "verify-grid-above-1", "grid-over-point-cap",
+            "line-over-iteration-cap"])
     def test_usage_error(self, capsys, argv):
         rc, out, err = run(capsys, *argv)
         assert rc == 2

@@ -131,6 +131,17 @@ class TestVerification:
         rec = verify_closed_form("ebd", cycle(4), a)
         assert rec.passed
 
+    def test_exact_dev_only_when_exact_oracle_ran(self):
+        ran = verify_closed_form("ebd", cycle(4), alpha("0.25"))
+        assert ran.exact_dev is not None and ran.exact_dev <= ran.max_dev
+        assert "exact_dev" not in ran.to_json_dict()
+        irrational = AlphaValue(numeric=1 / math.sqrt(3))
+        assert verify_closed_form("ebd", cycle(4), irrational).exact_dev is None
+        assert verify_closed_form("ebd", cycle(4), alpha("0.25"),
+                                  exact=False).exact_dev is None
+        # ebd(C40) has 80 vertices, over the exact oracle's size limit
+        assert verify_closed_form("ebd", cycle(40), alpha("0.25")).exact_dev is None
+
     def test_record_shape(self):
         rec = verify_closed_form("closed-shadow", cycle(4), alpha("0.5"),
                                  base_id="C4")

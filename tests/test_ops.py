@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from alphaenergy import (Graph, OpDescriptor, adjacency_matrix, apply_op,
+from alphaenergy import ops
+from alphaenergy import (MAX_VERTICES, Graph, OpDescriptor, adjacency_matrix, apply_op,
                          central_graph,
                          closed_shadow_graph, closed_splitting_graph,
                          complete, complete_bipartite, cycle, degree_info,
@@ -226,12 +229,24 @@ class TestSizeGuards:
         (middle_graph, complete(91), "middle"),     # 91 + 4095 vertices
         (central_graph, complete(91), "central"),
         (line_graph, complete(120), "line"),        # 7140 vertices
+        (functools.partial(duplicate_graph, m=10**9), cycle(4), "duplication"),
     ])
     def test_cap_checked_before_building(self, build, base, name):
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=f"{name} graph would exceed"):
+            with pytest.raises(ValueError, match=f"^{name} (graph|result) would exceed"):
                 build(base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_empty_graph_takes_any_copy_count(self):
+        # the copy pairs are read only when g has an edge, so none is built
+        tracemalloc.start()
+        try:
+            assert shadow_graph(Graph(0), 10**9) == Graph(0)
+            assert splitting_graph(Graph(0), 10**9) == Graph(0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -242,6 +257,69 @@ class TestSizeGuards:
         assert iterated_line_graph(complete(30), 1).q == 12180
         with pytest.raises(ValueError, match="line graph would exceed"):
             iterated_line_graph(complete(30), 2)
+
+    def test_line_iteration_count_bounded(self, monkeypatch):
+        # L(C5) is again a 5-cycle, so only the bound on k stops the loop
+        assert iterated_line_graph(cycle(5), MAX_VERTICES).p == 5
+
+        def no_work(g):
+            raise AssertionError("line graph built")
+        monkeypatch.setattr(ops, "line_graph", no_work)
+        with pytest.raises(ValueError, match=f"k <= {MAX_VERTICES}, got 4097"):
+            iterated_line_graph(cycle(5), MAX_VERTICES + 1)
+
+
+def _incidence(g: Graph) -> np.ndarray:
+    """The p x q vertex-edge incidence matrix, columns in edge order."""
+    r = np.zeros((g.p, g.q))
+    for e, (u, v) in enumerate(g.edges):
+        r[u, e] = r[v, e] = 1.0
+    return r
+
+
+def _copy_blocks() -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Label -> (B, C) with A(op(g)) = kron(B, A(g)) + kron(C, I)."""
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    out = {"closed-splitting": (np.array([[1.0, 1.0], [1.0, 0.0]]), swap),
+           "closed-shadow": (np.ones((2, 2)), swap),
+           "ebd": (swap, swap)}
+    for m in (1, 2, 3):
+        star = np.zeros((m + 1, m + 1))
+        star[0, :] = star[:, 0] = 1.0
+        out[f"splitting:{m}"] = (star, np.zeros_like(star))
+        out[f"duplicate:{m}"] = (np.fliplr(np.eye(2 ** m)), np.zeros((2 ** m, 2 ** m)))
+    for m in (2, 3, 4):
+        out[f"shadow:{m}"] = (np.ones((m, m)), np.zeros((m, m)))
+    return out
+
+
+COPY_BLOCKS = _copy_blocks()
+
+
+class TestStructure:
+    """Adjacency matrices of all nine operations against numpy references."""
+
+    @pytest.mark.parametrize("label", list(COPY_BLOCKS))
+    @given(g=graphs(max_p=8))
+    @settings(max_examples=20, deadline=None)
+    def test_copy_operations(self, label, g):
+        b, c = COPY_BLOCKS[label]
+        want = np.kron(b, adjacency_matrix(g)) + np.kron(c, np.eye(g.p))
+        got = adjacency_matrix(apply_op(parse_op(label), g))
+        assert np.array_equal(got, want)
+
+    @given(graphs(max_p=8))
+    @settings(max_examples=40, deadline=None)
+    def test_incidence_operations(self, g):
+        a, r = adjacency_matrix(g), _incidence(g)
+        p, q = r.shape
+        gram = r.T @ r - 2.0 * np.eye(q)
+        middle = np.block([[np.zeros((p, p)), r], [r.T, gram]])
+        central = np.block([[np.ones((p, p)) - np.eye(p) - a, r],
+                            [r.T, np.zeros((q, q))]])
+        assert np.array_equal(adjacency_matrix(middle_graph(g)), middle)
+        assert np.array_equal(adjacency_matrix(central_graph(g)), central)
+        assert np.array_equal(adjacency_matrix(line_graph(g)), gram)
 
 
 class TestDispatch:
