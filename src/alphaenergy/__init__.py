@@ -1,6 +1,6 @@
 """Graph operations and degree/adjacency pencil energies."""
 
-from .graphs import (Graph, DegreeInfo, EdgeListError, MAX_VERTICES,
+from .graphs import (Graph, DegreeInfo, EdgeListError, MAX_EDGES, MAX_VERTICES,
                      adjacency_matrix, complete, complete_bipartite, cycle,
                      degree_info, is_connected, path, petersen,
                      read_edge_list, write_edge_list)
@@ -26,7 +26,7 @@ from .analysis import (BulletResult, ClassificationResult, ObservationsReport,
                        tenth_grid)
 
 __all__ = [
-    "Graph", "DegreeInfo", "EdgeListError", "MAX_VERTICES",
+    "Graph", "DegreeInfo", "EdgeListError", "MAX_EDGES", "MAX_VERTICES",
     "adjacency_matrix", "complete", "complete_bipartite", "cycle",
     "degree_info", "is_connected", "path", "petersen", "read_edge_list",
     "write_edge_list",

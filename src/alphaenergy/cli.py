@@ -28,7 +28,7 @@ from pathlib import Path
 from .analysis import (format_csv, format_table_json, energy_report_json,
                        classify, sweep_table, table1)
 from .closed_forms import CLOSED_FORM_OPS, verify_closed_form
-from .graphs import (EdgeListError, Graph, complete, complete_bipartite, cycle,
+from .graphs import (Graph, complete, complete_bipartite, cycle,
                      degree_info, path, petersen, read_edge_list, write_edge_list)
 from .ops import apply_op, op_label, parse_op, split_op
 from .spectra import AlphaValue, alpha_energy, alpha_spectrum, a_alpha_exact
@@ -55,7 +55,7 @@ def parse_graph_source(text: str) -> tuple[str, Graph]:
             raise UsageError(f"no such file: {p}")
         try:
             return text, read_edge_list(p.read_bytes())
-        except EdgeListError as e:
+        except ValueError as e:     # EdgeListError, or a header over a cap
             raise UsageError(f"bad edge list in {p}: {e}") from None
     if text.startswith("op:"):
         try:

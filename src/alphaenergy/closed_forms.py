@@ -297,6 +297,7 @@ class VerificationRecord:
     alpha: float
     max_dev: float
     passed: bool
+    numeric_dev: float                  # closed form against the numeric oracle
     paper_deviation: Optional[str] = None
     exact_dev: Optional[float] = None   # None when the exact oracle did not run
 
@@ -326,9 +327,8 @@ def verify_closed_form(op: OpDescriptor | str, g: Graph, a: AlphaValue,
     b = RegularBase.from_graph(g)
     cf = _CF_DISPATCH[op.name](b, op.param, a, coeffs)
     operated = apply_op(op, g)
-    numeric = alpha_spectrum(operated, a)
-    dev = multiset_deviation(cf.values, numeric.values)
-    exact_dev = None
+    numeric_dev = multiset_deviation(cf.values, alpha_spectrum(operated, a).values)
+    dev, exact_dev = numeric_dev, None
     if exact is None:
         exact = a.exact is not None and operated.p <= CHARPOLY_MAX_N
     if exact:
@@ -341,5 +341,6 @@ def verify_closed_form(op: OpDescriptor | str, g: Graph, a: AlphaValue,
         alpha=a.numeric,
         max_dev=dev,
         passed=dev <= tol,
+        numeric_dev=numeric_dev,
         paper_deviation=PAPER_DEVIATIONS.get(op.name),
         exact_dev=exact_dev)

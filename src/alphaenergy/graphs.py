@@ -14,16 +14,24 @@ from typing import Optional
 import numpy as np
 
 MAX_VERTICES = 4096
+# Building a graph takes up to about 320 bytes per edge, so 2**19 edges keep
+# any accepted ``gen`` or ``op`` request under a 200 MB peak (30 MB interpreter).
+MAX_EDGES = 1 << 19
 
 
 class EdgeListError(ValueError):
     """Malformed edge-list input."""
 
 
-def _check_cap(p: int) -> None:
-    """Reject a vertex count over MAX_VERTICES, before anything is built."""
-    if p > MAX_VERTICES:
-        raise ValueError(f"vertex count {p} exceeds cap {MAX_VERTICES}")
+def check_size(p: int, q: int, result: Optional[str] = None) -> None:
+    """Reject p vertices or q edges over MAX_VERTICES or MAX_EDGES.  Every
+    source and operation predicts its (p, q) and calls this before it builds
+    an edge; ``result`` names an operation's result in the message."""
+    for n, cap, one, many in ((p, MAX_VERTICES, "vertex", "vertices"),
+                              (q, MAX_EDGES, "edge", "edges")):
+        if n > cap:
+            raise ValueError(f"{result} would exceed {cap} {many}" if result
+                             else f"{one} count {n} exceeds cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -41,7 +49,6 @@ class Graph:
     def __post_init__(self) -> None:
         if self.p < 0:
             raise ValueError(f"vertex count must be non-negative, got {self.p}")
-        _check_cap(self.p)
         seen: set[tuple[int, int]] = set()
         for i, j in self.edges:
             if i == j:
@@ -51,19 +58,12 @@ class Graph:
             if not 0 <= i < j < self.p:
                 raise ValueError(f"edge ({i},{j}) out of range for p={self.p}")
             seen.add((i, j))
+        check_size(self.p, len(seen))
         object.__setattr__(self, "edges", tuple(sorted(seen)))
 
     @property
     def q(self) -> int:
         return len(self.edges)
-
-
-def neighbor_sets(g: Graph) -> list[set[int]]:
-    nbrs: list[set[int]] = [set() for _ in range(g.p)]
-    for i, j in g.edges:
-        nbrs[i].add(j)
-        nbrs[j].add(i)
-    return nbrs
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,10 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 def component_counts(g: Graph) -> tuple[int, int]:
     """Numbers of components and of bipartite ones, from one 2-colouring walk."""
-    nbrs = neighbor_sets(g)
+    nbrs: list[set[int]] = [set() for _ in range(g.p)]
+    for i, j in g.edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
     colour: list[Optional[int]] = [None] * g.p
     components = bipartite = 0
     for start in range(g.p):
@@ -119,28 +122,28 @@ def is_connected(g: Graph) -> bool:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
-    _check_cap(n)
+    check_size(n, n)
     return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"path needs n >= 1, got {n}")
-    _check_cap(n)
+    check_size(n, n - 1)
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
-    _check_cap(n)
+    check_size(n, n * (n - 1) // 2)
     return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError(f"complete bipartite needs both parts >= 1, got {a},{b}")
-    _check_cap(a + b)
+    check_size(a + b, a * b)
     return Graph(a + b, tuple((i, a + j) for i in range(a) for j in range(b)))
 
 
@@ -161,28 +164,20 @@ def read_edge_list(data: bytes | str) -> Graph:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise EdgeListError("malformed header: empty input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise EdgeListError(f"malformed header: expected 'p q', got {lines[0]!r}")
     try:
-        p, q = int(head[0]), int(head[1])
+        p, q = map(int, lines[0].split())
     except ValueError:
         raise EdgeListError(f"malformed header: expected 'p q', got {lines[0]!r}") from None
     if p < 0 or q < 0:
         raise EdgeListError(f"malformed header: negative count in {lines[0]!r}")
-    if p > MAX_VERTICES:
-        raise EdgeListError(f"vertex count {p} exceeds cap {MAX_VERTICES}")
+    check_size(p, q)
     body = lines[1:]
     if len(body) != q:
         raise EdgeListError(f"expected {q} edge lines, found {len(body)}")
-    edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for ln in body:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise EdgeListError(f"malformed edge line {ln!r}")
         try:
-            i, j = int(parts[0]), int(parts[1])
+            i, j = map(int, ln.split())
         except ValueError:
             raise EdgeListError(f"malformed edge line {ln!r}") from None
         if i == j:
@@ -194,11 +189,8 @@ def read_edge_list(data: bytes | str) -> Graph:
         if (i, j) in seen:
             raise EdgeListError(f"duplicate edge ({i},{j})")
         seen.add((i, j))
-        edges.append((i, j))
-    return Graph(p, tuple(edges))
+    return Graph(p, tuple(seen))
 
 
 def write_edge_list(g: Graph) -> bytes:
-    out = [f"{g.p} {g.q}"]
-    out.extend(f"{i} {j}" for i, j in g.edges)
-    return ("\n".join(out) + "\n").encode("ascii")
+    return "".join([f"{g.p} {g.q}\n", *(f"{i} {j}\n" for i, j in g.edges)]).encode("ascii")

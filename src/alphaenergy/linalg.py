@@ -5,8 +5,9 @@ Two independent routes to a spectrum live here on purpose:
 * ``sym_eigenvalues`` is a cyclic-by-row Jacobi iteration in float64.
 * ``charpoly_exact`` + ``poly_roots_real`` go through exact arithmetic
   (Hessenberg reduction mod 31-bit primes with a CRT lift past a Hadamard
-  bound, then Yun square-free splitting, Sturm isolation and quadratic
-  interval refinement at dyadic points m / 2**e in Python integers) and
+  bound, then Yun square-free splitting, Sturm isolation from the smaller
+  of Cauchy's and Fujiwara's root bounds and quadratic interval
+  refinement at dyadic points m / 2**e in Python integers) and
   touch floating point only when each refined root is rounded to a float.
 
 Keep them independent; tests compare one against the other.
@@ -528,6 +529,20 @@ def _refine(f: Sequence[int], lo: int, hi: int, e: int) -> float:
     return (lo + hi) / (1 << (e + 1))
 
 
+def _root_exponent(f: Sequence[int]) -> int:
+    """b >= 0 with every root of f strictly inside (-2**b, 2**b).
+
+    The smaller of Cauchy's bound 1 + max_j |f_j / f_n| and Fujiwara's
+    2 * max_k |f_{n-k} / f_n|**(1/k), each rounded up to a power of two in
+    integers: |f_{n-k} / f_n| < 2**(len(f_{n-k}) - len(f_n) + 1) in bit lengths.
+    """
+    lead = abs(f[-1]).bit_length()
+    cauchy = (max(abs(c) for c in f[:-1]) // abs(f[-1]) + 1).bit_length()
+    fujiwara = 1 + max(-((lead - 1 - abs(c).bit_length()) // k)
+                       for k, c in enumerate(reversed(f[:-1]), 1) if c)
+    return min(cauchy, max(fujiwara, 0))
+
+
 def poly_roots_real(pl: RationalPoly) -> list[float]:
     """All real roots with multiplicity, descending.
 
@@ -555,8 +570,7 @@ def poly_roots_real(pl: RationalPoly) -> list[float]:
             roots.extend([-factor[0] / factor[1]] * mult)
             continue
         chain = _sturm_chain(factor)
-        # Cauchy: every root lies strictly inside +-(1 + max|c_j| / |c_n|) <= 2**b
-        b = (max(abs(c) for c in factor[:-1]) // abs(factor[-1]) + 1).bit_length()
+        b = _root_exponent(factor)
         lo, hi = -(1 << b), 1 << b
         vlo, vhi = _variations(chain, lo, 0), _variations(chain, hi, 0)
         if vlo - vhi != deg:

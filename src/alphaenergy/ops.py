@@ -17,21 +17,19 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .graphs import MAX_VERTICES, Graph
+from .graphs import MAX_VERTICES, Graph, check_size, degree_info
 
 
 def _joined_copies(g: Graph, k: int, joined: Iterable[tuple[int, int]],
-                   matched: Iterable[tuple[int, int]], result: str) -> Graph:
+                   matched: Iterable[tuple[int, int]]) -> Graph:
     """k copies of g, with copies joined along edges and vertex to vertex.
 
     A pair (i, j) in ``joined`` adds i*p+u ~ j*p+v and i*p+v ~ j*p+u for
     every edge uv ((i, i) keeps copy i's own edges), one in ``matched``
-    i*p+v ~ j*p+v for every vertex v.  Pairs may be lazy: none is read
-    before the vertex cap passes, and ``joined`` not if g has no edge.
+    i*p+v ~ j*p+v for every vertex v.  ``joined`` may be lazy, and is not
+    read if g has no edge.
     """
     p = g.p
-    if p * k > MAX_VERTICES:
-        raise ValueError(f"{result} would exceed {MAX_VERTICES} vertices")
     edges = [(i * p + x, j * p + y) for i, j in (joined if g.edges else ())
              for u, v in g.edges for x, y in ((u, v), (v, u))]
     edges += [(i * p + v, j * p + v) for i, j in matched for v in range(p)]
@@ -48,107 +46,121 @@ def _adjacent_edges(g: Graph) -> Iterator[tuple[int, int]]:
         yield from itertools.combinations(lst, 2)
 
 
-def _subdivision(g: Graph, extra: Iterable[tuple[int, int]], result: str) -> Graph:
-    """Each edge e = uv of g becomes the path u ~ p+e ~ v; ``extra`` edges
-    are added, and may be lazy: they are read after the vertex cap passes."""
-    p = g.p
-    if p + g.q > MAX_VERTICES:
-        raise ValueError(f"{result} would exceed {MAX_VERTICES} vertices")
-    edges = [(w, p + e) for e, uv in enumerate(g.edges) for w in uv]
-    edges += extra
-    return Graph(p + g.q, tuple(edges))
+def _subdivision(g: Graph, extra: Iterable[tuple[int, int]]) -> Graph:
+    """Each edge e = uv of g becomes the path u ~ p+e ~ v; ``extra`` edges are added."""
+    edges = [(w, g.p + e) for e, uv in enumerate(g.edges) for w in uv]
+    return Graph(g.p + g.q, (*edges, *extra))
+
+
+def _param(ok: bool, text: str) -> None:
+    """Reject a parameter out of range, before any size is formed from it."""
+    if not ok:
+        raise ValueError(text)
 
 
 def middle_graph(g: Graph) -> Graph:
     """Subdivide every edge and join subdivision vertices of adjacent edges."""
-    return _subdivision(g, ((g.p + e, g.p + f) for e, f in _adjacent_edges(g)),
-                        "middle graph")
+    OPS["middle"].check(g)
+    return _subdivision(g, ((g.p + e, g.p + f) for e, f in _adjacent_edges(g)))
 
 
 def central_graph(g: Graph) -> Graph:
     """Subdivide every edge and join every pair of non-adjacent originals."""
+    OPS["central"].check(g)
     present = set(g.edges)
     return _subdivision(g, (uv for uv in itertools.combinations(range(g.p), 2)
-                            if uv not in present), "central graph")
+                            if uv not in present))
 
 
 def splitting_graph(g: Graph, m: int) -> Graph:
     """Add m twin copies of every vertex, each joined to the original's neighbors."""
-    if m < 1:
-        raise ValueError(f"splitting needs m >= 1, got {m}")
-    return _joined_copies(g, m + 1, ((0, i) for i in range(m + 1)), (),
-                          "splitting result")
+    _param(m >= 1, f"splitting needs m >= 1, got {m}")
+    OPS["splitting"].check(g, m)
+    return _joined_copies(g, m + 1, ((0, i) for i in range(m + 1)), ())
 
 
 def closed_splitting_graph(g: Graph) -> Graph:
     """Splitting with one copy, plus an edge from each vertex to its copy."""
-    return _joined_copies(g, 2, ((0, 0), (0, 1)), ((0, 1),), "closed splitting result")
+    OPS["closed-splitting"].check(g)
+    return _joined_copies(g, 2, ((0, 0), (0, 1)), ((0, 1),))
 
 
 def shadow_graph(g: Graph, m: int) -> Graph:
     """m copies of g with copy_i(u) ~ copy_j(v) for every edge uv and all i, j."""
-    if m < 2:
-        raise ValueError(f"shadow needs m >= 2, got {m}")
-    return _joined_copies(g, m, ((i, j) for i in range(m) for j in range(i, m)), (),
-                          "shadow result")
+    _param(m >= 2, f"shadow needs m >= 2, got {m}")
+    OPS["shadow"].check(g, m)
+    return _joined_copies(g, m, ((i, j) for i in range(m) for j in range(i, m)), ())
 
 
 def closed_shadow_graph(g: Graph) -> Graph:
     """Two copies joined across every edge both ways, plus a perfect matching."""
-    return _joined_copies(g, 2, ((0, 0), (1, 1), (0, 1)), ((0, 1),), "closed shadow result")
+    OPS["closed-shadow"].check(g)
+    return _joined_copies(g, 2, ((0, 0), (1, 1), (0, 1)), ((0, 1),))
 
 
 def ebd_graph(g: Graph) -> Graph:
     """Extended bipartite double: u_i ~ w_j iff i = j or ij is an edge."""
-    return _joined_copies(g, 2, ((0, 1),), ((0, 1),), "extended bipartite double")
+    OPS["ebd"].check(g)
+    return _joined_copies(g, 2, ((0, 1),), ((0, 1),))
 
 
 def line_graph(g: Graph) -> Graph:
     """Vertices are the edges of g; adjacency is sharing an endpoint."""
-    if g.q > MAX_VERTICES:
-        raise ValueError(f"line graph would exceed {MAX_VERTICES} vertices")
+    OPS["line"].check(g)
     return Graph(g.q, tuple(_adjacent_edges(g)))
 
 
 def iterated_line_graph(g: Graph, k: int) -> Graph:
-    if k < 0:
-        raise ValueError(f"line iteration needs k >= 0, got {k}")
-    if k > MAX_VERTICES:
-        raise ValueError(f"line iteration needs k <= {MAX_VERTICES}, got {k}")
-    out = g
+    """L^k(g), each level sized before it is built; k is capped as L(C_n) = C_n."""
+    _param(k >= 0, f"line iteration needs k >= 0, got {k}")
+    _param(k <= MAX_VERTICES, f"line iteration needs k <= {MAX_VERTICES}, got {k}")
     for _ in range(k):
-        out = line_graph(out)
-    return out
+        g = line_graph(g)
+    return g
 
 
 def duplicate_graph(g: Graph, m: int) -> Graph:
     """m rounds of u' ~ v, v' ~ u per edge uv: 2**m copies, each joined to
     the copy whose index is its bitwise complement."""
-    if m < 1:
-        raise ValueError(f"duplication needs m >= 1, got {m}")
-    if m >= MAX_VERTICES.bit_length():     # 2**m copies alone exceed the cap
-        raise ValueError(f"duplication result would exceed {MAX_VERTICES} vertices")
+    _param(m >= 1, f"duplication needs m >= 1, got {m}")
+    # from m = 13 on, 2**m copies alone exceed the cap; 2**m is never formed
+    _param(m < MAX_VERTICES.bit_length(),
+           f"duplication result would exceed {MAX_VERTICES} vertices")
+    OPS["duplicate"].check(g, m)
     k = 1 << m
-    return _joined_copies(g, k, ((i, k - 1 - i) for i in range(k // 2)), (),
-                          "duplication result")
+    return _joined_copies(g, k, ((i, k - 1 - i) for i in range(k // 2)), ())
 
 
 class _Op(NamedTuple):
-    param: Optional[str]            # parameter letter, or None for a plain operation
-    build: Callable[..., Graph]     # build(g) or build(g, param)
+    param: Optional[str]                  # parameter letter, or None for a plain operation
+    result: str                           # what a size error calls the result
+    size: Callable[..., tuple[int, int]]  # size(p, q, s[, param]) -> the result's (p, q)
+    build: Callable[..., Graph]           # build(g) or build(g, param)
+
+    def check(self, g: Graph, *param: int) -> None:
+        """Check the result's size before it is built.  s counts the pairs of
+        edges of g that share an end: the sum of C(d, 2) over the degrees."""
+        s = sum(d * (d - 1) // 2 for d in degree_info(g).degrees)
+        check_size(*self.size(g.p, g.q, s, *param), self.result)
 
 
-# The one list of operations: name -> parameter letter and builder.
+# The one list of operations: name -> parameter letter, size and builder.  Each
+# builder checks its size first; line's is one level's, checked at each level.
 OPS: dict[str, _Op] = {
-    "middle": _Op(None, middle_graph),
-    "central": _Op(None, central_graph),
-    "splitting": _Op("m", splitting_graph),
-    "closed-splitting": _Op(None, closed_splitting_graph),
-    "shadow": _Op("m", shadow_graph),
-    "closed-shadow": _Op(None, closed_shadow_graph),
-    "ebd": _Op(None, ebd_graph),
-    "line": _Op("k", iterated_line_graph),
-    "duplicate": _Op("m", duplicate_graph),
+    "middle": _Op(None, "middle graph", lambda p, q, s: (p + q, 2 * q + s), middle_graph),
+    "central": _Op(None, "central graph",
+                   lambda p, q, s: (p + q, q + p * (p - 1) // 2), central_graph),
+    "splitting": _Op("m", "splitting result",
+                     lambda p, q, s, m: ((m + 1) * p, (2 * m + 1) * q), splitting_graph),
+    "closed-splitting": _Op(None, "closed splitting result",
+                            lambda p, q, s: (2 * p, 3 * q + p), closed_splitting_graph),
+    "shadow": _Op("m", "shadow result", lambda p, q, s, m: (m * p, m * m * q), shadow_graph),
+    "closed-shadow": _Op(None, "closed shadow result",
+                         lambda p, q, s: (2 * p, 4 * q + p), closed_shadow_graph),
+    "ebd": _Op(None, "extended bipartite double", lambda p, q, s: (2 * p, 2 * q + p), ebd_graph),
+    "line": _Op("k", "line graph", lambda p, q, s: (q, s), iterated_line_graph),
+    "duplicate": _Op("m", "duplication result",
+                     lambda p, q, s, m: (p << m, q << m), duplicate_graph),
 }
 
 
@@ -165,16 +177,12 @@ class OpDescriptor:
 
 
 def _usage(name: str) -> str:
-    letter = OPS[name].param
-    return name if letter is None else f"{name}:<{letter}>"
+    return name if OPS[name].param is None else f"{name}:<{OPS[name].param}>"
 
 
 def split_op(text: str) -> tuple[OpDescriptor, Optional[str]]:
-    """Split '<name>[:<param>]' off the front of ``text``.
-
-    Returns the operation and the text after the ':' that follows it, or
-    None when nothing follows.
-    """
+    """Split '<name>[:<param>]' off the front of ``text``: the operation, and
+    the text after the ':' that follows it, or None when nothing follows."""
     name, sep, rest = text.partition(":")
     if name not in OPS:
         raise ValueError(f"unknown operation {name!r}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -271,6 +272,27 @@ class TestUsageContract:
         assert rc == 2
         assert err.startswith("error:") and "exceeds cap" in err
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "K3000"), ("op", "shadow:64", "K64"), ("op", "central", "P2001"),
+        ("gen", "op:middle:K1,2000"), ("gen", "op:duplicate:1000000000:C4")])
+    def test_oversized_request_rejected_before_building(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            rc, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rc, out) == (2, "")
+        assert err.startswith("error:") and ("would exceed" in err or "exceeds cap" in err)
+        assert peak < 1 << 20
+
+    def test_edge_list_header_over_edge_cap(self, capsys, tmp_path):
+        f = tmp_path / "big.txt"
+        f.write_text("10 600000\n")
+        rc, out, err = run(capsys, "gen", f"file:{f}")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: bad edge list") and "edge count 600000 exceeds cap" in err
 
     def test_grid_point_cap_is_inclusive(self):
         grid = _parse_alpha_grid("0:0.5:1/20000")

@@ -142,6 +142,15 @@ class TestVerification:
         # ebd(C40) has 80 vertices, over the exact oracle's size limit
         assert verify_closed_form("ebd", cycle(40), alpha("0.25")).exact_dev is None
 
+    @pytest.mark.parametrize("op, base, text, exact", [
+        ("ebd", cycle(4), "0.25", None), ("middle", cycle(6), "0.3", None),
+        ("central", complete(4), "0.7", False), ("splitting:2", cycle(5), "0.5", True)])
+    def test_max_dev_is_the_worse_oracle(self, op, base, text, exact):
+        rec = verify_closed_form(op, base, alpha(text), exact=exact)
+        assert rec.max_dev == max(rec.numeric_dev, rec.exact_dev or 0.0)
+        assert (rec.exact_dev is None) == (exact is False)
+        assert "numeric_dev" not in rec.to_json_dict()
+
     def test_record_shape(self):
         rec = verify_closed_form("closed-shadow", cycle(4), alpha("0.5"),
                                  base_id="C4")

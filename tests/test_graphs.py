@@ -73,6 +73,28 @@ class TestGenerators:
         with pytest.raises(ValueError, match="vertex count 9 exceeds cap 8"):
             complete_bipartite(4, 5)
 
+    def test_families_check_the_edge_cap(self, monkeypatch):
+        monkeypatch.setattr(graphs_module, "MAX_EDGES", 6)
+        assert complete(4).q == complete_bipartite(2, 3).q == cycle(6).q == path(7).q == 6
+        for build, q in [(lambda: complete(5), 10), (lambda: complete_bipartite(2, 4), 8),
+                         (lambda: cycle(7), 7), (lambda: path(8), 7),
+                         (lambda: Graph(8, complete(4).edges + ((5, 6),)), 7),
+                         (lambda: read_edge_list("8 7\n"), 7)]:   # from the header alone
+            with pytest.raises(ValueError, match=f"^edge count {q} exceeds cap 6$"):
+                build()
+
+    @pytest.mark.parametrize("build, args", [
+        (cycle, (3,)), (cycle, (9,)), (path, (1,)), (path, (7,)), (complete, (1,)),
+        (complete, (6,)), (complete_bipartite, (1, 1)), (complete_bipartite, (3, 4))],
+        ids=["C3", "C9", "P1", "P7", "K1", "K6", "K1,1", "K3,4"])
+    def test_families_predict_their_size(self, monkeypatch, build, args):
+        predicted = []
+        check = graphs_module.check_size
+        monkeypatch.setattr(graphs_module, "check_size",
+                            lambda p, q, result=None: predicted.append((p, q)) or check(p, q))
+        g = build(*args)
+        assert predicted[0] == (g.p, g.q)     # the family's own call, then Graph's
+
     def test_cycle_too_small(self):
         with pytest.raises(ValueError):
             cycle(2)

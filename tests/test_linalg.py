@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alphaenergy import (RationalPoly, Spectrum, SymMatrix, a_alpha_exact,
@@ -367,6 +367,23 @@ class TestRootIsolation:
         assert calls["splits"] > calls["chains"] > 0
         assert calls["variations"] == calls["splits"] + 2 * calls["chains"]
 
+    def test_root_bound_shortens_isolation(self, monkeypatch):
+        # Cauchy's bound puts the roots 1..20 of prod(x - i) inside +-2**64,
+        # Fujiwara's inside +-2**9; from the former isolation takes 84
+        # chain evaluations
+        calls = [0]
+        variations = linalg._variations
+
+        def traced_variations(*args):
+            calls[0] += 1
+            return variations(*args)
+
+        monkeypatch.setattr(linalg, "_variations", traced_variations)
+        f = _from_roots(*range(1, 21))
+        assert linalg._root_exponent([int(c) for c in f.coefficients]) == 9
+        assert poly_roots_real(f) == [float(i) for i in range(20, 0, -1)]
+        assert calls[0] == 29
+
     def test_nonroot_point_moves_right_inside_interval(self):
         # x(x - 4)(x - 2)(x - 1) on (-8, 8): the midpoint and the points a
         # quarter, an eighth and a sixteenth of the width right of it are
@@ -445,6 +462,22 @@ def test_rational_roots_recovered(roots):
     got = poly_roots_real(_from_roots(*roots))
     want = sorted(roots, reverse=True)
     assert all(abs(Fraction(g) - w) <= Fraction(1, 2 ** 44) for g, w in zip(got, want))
+
+
+@given(st.lists(st.tuples(st.integers(min_value=1, max_value=40),
+                          st.integers(min_value=-10 ** 6, max_value=10 ** 6)),
+                min_size=2, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_root_exponent_bounds_every_root(factors):
+    # f = prod(a x - c) has the roots c / a
+    assume(any(c for _, c in factors))
+    f = [1]
+    for a, c in factors:
+        f = [a * x - c * y for x, y in zip([0] + f, f + [0])]
+    b = linalg._root_exponent(f)
+    cauchy = (max(abs(x) for x in f[:-1]) // abs(f[-1]) + 1).bit_length()
+    assert 0 <= b <= cauchy
+    assert all(abs(Fraction(c, a)) < 2 ** b for a, c in factors)
 
 
 @given(small_int_sym())

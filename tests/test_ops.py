@@ -10,10 +10,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphaenergy import ops
-from alphaenergy import (MAX_VERTICES, Graph, OpDescriptor, adjacency_matrix, apply_op,
-                         central_graph,
+from alphaenergy import (MAX_EDGES, MAX_VERTICES, Graph, OpDescriptor, adjacency_matrix,
+                         apply_op, central_graph,
                          closed_shadow_graph, closed_splitting_graph,
                          complete, complete_bipartite, cycle, degree_info,
                          duplicate_graph, ebd_graph, iterated_line_graph,
@@ -267,6 +268,101 @@ class TestSizeGuards:
         monkeypatch.setattr(ops, "line_graph", no_work)
         with pytest.raises(ValueError, match=f"k <= {MAX_VERTICES}, got 4097"):
             iterated_line_graph(cycle(5), MAX_VERTICES + 1)
+
+
+class TestEdgeCap:
+    """Requests under the vertex cap whose edges are over MAX_EDGES."""
+
+    @pytest.mark.parametrize("build, base, message", [
+        (complete, 3000, "edge count 4498500 exceeds cap"),
+        (complete, MAX_VERTICES, "edge count 8386560 exceeds cap"),
+        (functools.partial(shadow_graph, m=64), complete(64),    # 4096 vertices
+         f"shadow result would exceed {MAX_EDGES} edges"),
+        (central_graph, path(2001),                              # 4001 vertices
+         f"central graph would exceed {MAX_EDGES} edges"),
+        (middle_graph, complete_bipartite(1, 2000),              # 4001 vertices
+         f"middle graph would exceed {MAX_EDGES} edges"),
+        (line_graph, complete_bipartite(1, 2000),                # 2000 vertices
+         f"line graph would exceed {MAX_EDGES} edges"),
+    ], ids=["K3000", "K4096", "shadow64-K64", "central-P2001", "middle-star", "line-star"])
+    def test_rejected_before_building(self, build, base, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                build(base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_largest_shadow_of_k64_is_predicted(self):
+        # shadow:m of K64 has 64m vertices and 2016 m^2 edges: m = 16 fits
+        assert ops.OPS["shadow"].size(64, 2016, 0, 16) == (1024, 516096)
+        assert ops.OPS["shadow"].size(64, 2016, 0, 17)[1] > MAX_EDGES
+
+
+# (label, maximal parameter) of every operation; the parameter runs from its
+# least value up to this one
+_SIZED_OPS = [("middle", None), ("central", None), ("splitting", 3),
+              ("closed-splitting", None), ("shadow", 3), ("closed-shadow", None),
+              ("ebd", None), ("line", 2), ("duplicate", 2)]
+_LEAST = {"splitting": 1, "shadow": 2, "line": 1, "duplicate": 1}
+
+
+@st.composite
+def _op_chains(draw):
+    """Up to three operations with their parameters, innermost first."""
+    chain = []
+    for name, most in draw(st.lists(st.sampled_from(_SIZED_OPS), max_size=3)):
+        param = None if most is None else draw(st.integers(_LEAST[name], most))
+        chain.append(OpDescriptor(name, param))
+    return chain
+
+
+def _table_size(name: str, g: Graph, *param: int) -> tuple[int, int]:
+    s = sum(math.comb(d, 2) for d in degree_info(g).degrees)
+    return ops.OPS[name].size(g.p, g.q, s, *param)
+
+
+class TestSizeTable:
+    @given(base=st.one_of(graphs(max_p=7), st.sampled_from(
+               [cycle(5), path(6), complete(5), complete_bipartite(2, 3), petersen()])),
+           chain=_op_chains())
+    @settings(max_examples=120, deadline=None)
+    def test_predicted_size_is_built_size(self, base, chain):
+        # nested sources: each level is predicted from the built level below
+        # it, and line:k one line graph at a time
+        g = base
+        for op in chain:
+            for level in [OpDescriptor("line", 1)] * op.param if op.name == "line" else [op]:
+                param = () if level.param is None or level.name == "line" else (level.param,)
+                p, q = _table_size(level.name, g, *param)
+                if p > MAX_VERTICES or q > MAX_EDGES:
+                    with pytest.raises(ValueError, match="would exceed"):
+                        apply_op(level, g)
+                    return
+                if q > 20000:       # valid, but slow to build here
+                    return
+                g = apply_op(level, g)
+                assert (g.p, g.q) == (p, q)
+
+    def test_every_operation_is_sized(self):
+        assert {name for name, _ in _SIZED_OPS} == set(ops.OPS)
+
+    def test_each_line_level_is_checked_before_it_is_built(self, monkeypatch):
+        # L(K45) has 990 vertices and 42570 edges; L^2(K45) would have
+        # 42570 vertices, so the second level is refused unbuilt
+        sized = []
+        check = ops._Op.check
+
+        def traced_check(self, g, *param):
+            sized.append((g.p, g.q))
+            return check(self, g, *param)
+
+        monkeypatch.setattr(ops._Op, "check", traced_check)
+        with pytest.raises(ValueError, match="line graph would exceed"):
+            iterated_line_graph(complete(45), 3)
+        assert sized == [(45, 990), (990, 42570)]
 
 
 def _incidence(g: Graph) -> np.ndarray:
