@@ -12,7 +12,7 @@ from .linalg import (RationalPoly, Spectrum, SymMatrix, charpoly_exact,
                      make_spectrum, multiset_deviation, poly_roots_real,
                      sym_eigenvalues)
 from .spectra import (AlphaValue, EnergyReport, a_alpha_exact, a_alpha_matrix,
-                      alpha, alpha_energy, alpha_spectrum)
+                      alpha, alpha_energies, alpha_energy, alpha_spectrum)
 from .closed_forms import (CLOSED_FORM_OPS, COEFF_TABLES, RegularBase,
                            VerificationRecord, cf_central_spectrum,
                            cf_closed_shadow_spectrum, cf_closed_splitting_spectrum,
@@ -38,7 +38,7 @@ __all__ = [
     "make_spectrum", "multiset_deviation", "poly_roots_real",
     "sym_eigenvalues",
     "AlphaValue", "EnergyReport", "a_alpha_exact", "a_alpha_matrix",
-    "alpha", "alpha_energy", "alpha_spectrum",
+    "alpha", "alpha_energies", "alpha_energy", "alpha_spectrum",
     "CLOSED_FORM_OPS", "COEFF_TABLES", "RegularBase", "VerificationRecord",
     "cf_central_spectrum", "cf_closed_shadow_spectrum",
     "cf_closed_splitting_spectrum", "cf_ebd_spectrum",

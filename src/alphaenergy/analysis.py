@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .graphs import Graph, complete, complete_bipartite, cycle
 from .ops import (closed_shadow_graph, closed_splitting_graph, duplicate_graph,
                   ebd_graph, shadow_graph, splitting_graph)
-from .spectra import AlphaValue, EnergyReport, alpha_energy
+from .spectra import AlphaValue, EnergyReport, alpha_energies, alpha_energy
 
 DEFAULT_TOL = 1e-6
 
@@ -78,9 +78,7 @@ class SweepTable:
 
 def sweep_table(rows: Sequence[tuple[str, Graph]],
                 alphas: Sequence[AlphaValue]) -> SweepTable:
-    cells = tuple(
-        tuple(alpha_energy(g, a, graph_id=label).energy for a in alphas)
-        for label, g in rows)
+    cells = tuple(alpha_energies(g, alphas) for _, g in rows)
     return SweepTable(row_labels=tuple(label for label, _ in rows),
                       alphas=tuple(alphas), cells=cells)
 
@@ -172,10 +170,6 @@ class ObservationsReport:
         return all(b.passed for b in self.bullets)
 
 
-def _energy(g: Graph, a: AlphaValue) -> float:
-    return alpha_energy(g, a).energy
-
-
 def observations_report(tol: float = DEFAULT_TOL) -> ObservationsReport:
     """Check the headline equienergetic/borderenergetic/hyperenergetic claims
     over the 0.0..0.9 weight grid."""
@@ -186,10 +180,10 @@ def observations_report(tol: float = DEFAULT_TOL) -> ObservationsReport:
 
     fails: list[str] = []
     for label, g in bases:
-        d2 = shadow_graph(g, 2)
-        dup = duplicate_graph(g, 1)
-        for a in grid:
-            gap = abs(_energy(d2, a) - _energy(dup, a))
+        d2 = alpha_energies(shadow_graph(g, 2), grid)
+        dup = alpha_energies(duplicate_graph(g, 1), grid)
+        for a, e1, e2 in zip(grid, d2, dup):
+            gap = abs(e1 - e2)
             if gap > tol:
                 fails.append(f"{label} alpha={a.numeric}: gap {gap:.3e}")
     bullets.append(BulletResult(
@@ -198,9 +192,9 @@ def observations_report(tol: float = DEFAULT_TOL) -> ObservationsReport:
         passed=not fails, failures=tuple(fails)))
 
     fails = []
-    d2c4 = closed_shadow_graph(cycle(4))
-    for a in grid:
-        gap = abs(_energy(d2c4, a) - reference_energy(8, a))
+    d2c4 = alpha_energies(closed_shadow_graph(cycle(4)), grid)
+    for a, e in zip(grid, d2c4):
+        gap = abs(e - reference_energy(8, a))
         if gap > tol:
             fails.append(f"alpha={a.numeric}: gap {gap:.3e}")
     bullets.append(BulletResult(
@@ -209,10 +203,9 @@ def observations_report(tol: float = DEFAULT_TOL) -> ObservationsReport:
         passed=not fails, failures=tuple(fails)))
 
     fails = []
-    d2c6 = closed_shadow_graph(cycle(6))
-    d2k33 = closed_shadow_graph(complete_bipartite(3, 3))
-    for a in grid:
-        e1, e2 = _energy(d2c6, a), _energy(d2k33, a)
+    d2c6 = alpha_energies(closed_shadow_graph(cycle(6)), grid)
+    d2k33 = alpha_energies(closed_shadow_graph(complete_bipartite(3, 3)), grid)
+    for a, e1, e2 in zip(grid, d2c6, d2k33):
         ref = reference_energy(12, a)
         if abs(e1 - e2) > tol:
             fails.append(f"alpha={a.numeric}: pair gap {abs(e1 - e2):.3e}")
@@ -224,12 +217,11 @@ def observations_report(tol: float = DEFAULT_TOL) -> ObservationsReport:
         passed=not fails, failures=tuple(fails)))
 
     fails = []
-    ebd_c6 = ebd_graph(cycle(6))
-    d2_c6 = shadow_graph(cycle(6), 2)
-    dup_c6 = duplicate_graph(cycle(6), 1)
-    for a in grid:
-        e = _energy(ebd_c6, a)
-        if abs(e - _energy(d2_c6, a)) > tol or abs(e - _energy(dup_c6, a)) > tol:
+    ebd_c6 = alpha_energies(ebd_graph(cycle(6)), grid)
+    d2_c6 = alpha_energies(shadow_graph(cycle(6), 2), grid)
+    dup_c6 = alpha_energies(duplicate_graph(cycle(6), 1), grid)
+    for a, e, e2, e3 in zip(grid, ebd_c6, d2_c6, dup_c6):
+        if abs(e - e2) > tol or abs(e - e3) > tol:
             fails.append(f"alpha={a.numeric}")
     bullets.append(BulletResult(
         key="ebd-c6-equienergetic",
@@ -238,9 +230,9 @@ def observations_report(tol: float = DEFAULT_TOL) -> ObservationsReport:
 
     fails = []
     for p in range(2, 6):
-        d2kpp = closed_shadow_graph(complete_bipartite(p, p))
-        for a in grid:
-            gap = abs(_energy(d2kpp, a) - reference_energy(4 * p, a))
+        d2kpp = alpha_energies(closed_shadow_graph(complete_bipartite(p, p)), grid)
+        for a, e in zip(grid, d2kpp):
+            gap = abs(e - reference_energy(4 * p, a))
             if gap > tol:
                 fails.append(f"p={p} alpha={a.numeric}: gap {gap:.3e}")
     bullets.append(BulletResult(
@@ -249,12 +241,10 @@ def observations_report(tol: float = DEFAULT_TOL) -> ObservationsReport:
         passed=not fails, failures=tuple(fails)))
 
     fails = []
+    upper = [a for a in grid if a.numeric >= 0.3]
     for label, g in bases:
         spl = splitting_graph(g, 1)
-        for a in grid:
-            if a.numeric < 0.3:
-                continue
-            e = _energy(spl, a)
+        for a, e in zip(upper, alpha_energies(spl, upper)):
             ref = reference_energy(spl.p, a)
             if not e > ref + tol:
                 fails.append(f"Spl({label}) alpha={a.numeric}: "

@@ -19,18 +19,20 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, Optional
 
 from .analysis import (format_csv, format_table_json, energy_report_json,
                        classify, sweep_table, table1)
 from .closed_forms import CLOSED_FORM_OPS, verify_closed_form
-from .graphs import (Graph, complete, complete_bipartite, cycle,
-                     degree_info, path, petersen, read_edge_list, write_edge_list)
-from .ops import apply_op, op_label, parse_op, split_op
+from .graphs import (Graph, complete, complete_bipartite, cycle, degree_info,
+                     family_size, path, petersen, read_edge_list, write_edge_list)
+from .ops import OPS, OpDescriptor, apply_op, op_label, parse_op, split_op
 from .spectra import AlphaValue, alpha_energy, alpha_spectrum, a_alpha_exact
 from .linalg import (CHARPOLY_MAX_N, SYM_EIG_MAX_N, charpoly_exact, make_spectrum,
                      poly_roots_real)
@@ -45,10 +47,41 @@ class UsageError(Exception):
 _FAMILY_RE = re.compile(r"^(C|P|K)(\d+)(?:,(\d+))?$")
 
 
+def _family(text: str) -> Optional[tuple[Callable[[], Graph], tuple[int, int, int]]]:
+    """A family source's builder and its (p, q, s) (see ``family_size``),
+    checked but not built; None when ``text`` names no family."""
+    if text == "petersen":
+        return petersen, family_size(text)
+    m = _FAMILY_RE.match(text)
+    if not m:
+        return None
+    kind = m.group(1)
+    if m.group(3) is not None and kind != "K":
+        raise UsageError(f"cannot parse graph source {text!r}")
+    try:        # int() refuses over 4300 digits
+        args = tuple(int(x) for x in m.group(2, 3) if x is not None)
+        counts = family_size(kind, *args)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+    build = complete_bipartite if len(args) == 2 else {"C": cycle, "P": path, "K": complete}[kind]
+    return functools.partial(build, *args), counts
+
+
+def _operated(op: OpDescriptor, source: str) -> tuple[str, Graph]:
+    """The source's label and ``op`` applied to its graph.  Over a family the
+    operation is sized from the family's counts before the family is built."""
+    family = _family(source)
+    try:
+        if family is not None:
+            OPS[op.name].check_counts(*family[1], *(() if op.param is None else (op.param,)))
+        label, g = (source, family[0]()) if family else parse_graph_source(source)
+        return label, apply_op(op, g)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+
+
 def parse_graph_source(text: str) -> tuple[str, Graph]:
     """Resolve a source string to (label, graph)."""
-    if text == "petersen":
-        return text, petersen()
     if text.startswith("file:"):
         p = Path(text[5:])
         if not p.is_file():
@@ -64,27 +97,12 @@ def parse_graph_source(text: str) -> tuple[str, Graph]:
             raise UsageError(str(e)) from None
         if not rest:
             raise UsageError(f"operation source needs 'op:<operation>:<source>', got {text!r}")
-        label, g = parse_graph_source(rest)
-        try:
-            return f"op:{op_label(op)}:{label}", apply_op(op, g)
-        except ValueError as e:
-            raise UsageError(str(e)) from None
-    m = _FAMILY_RE.match(text)
-    if not m:
+        label, g = _operated(op, rest)
+        return f"op:{op_label(op)}:{label}", g
+    family = _family(text)
+    if family is None:
         raise UsageError(f"cannot parse graph source {text!r}")
-    kind, a, b = m.group(1), int(m.group(2)), m.group(3)
-    try:
-        if b is not None:
-            if kind != "K":
-                raise UsageError(f"cannot parse graph source {text!r}")
-            return text, complete_bipartite(a, int(b))
-        if kind == "C":
-            return text, cycle(a)
-        if kind == "P":
-            return text, path(a)
-        return text, complete(a)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    return text, family[0]()
 
 
 def _parse_alpha(text: str) -> AlphaValue:
@@ -132,11 +150,7 @@ def _cmd_op(args) -> int:
         op = parse_op(args.operation)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    _, g = parse_graph_source(args.source)
-    try:
-        out = apply_op(op, g)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    _, out = _operated(op, args.source)
     sys.stdout.write(write_edge_list(out).decode("ascii"))
     return 0
 

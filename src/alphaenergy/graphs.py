@@ -9,6 +9,7 @@ edges by their position in it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -119,31 +120,52 @@ def is_connected(g: Graph) -> bool:
 # ----------------------------------------------------------------------
 # standard families
 
+def family_size(kind: str, *args: int) -> tuple[int, int, int]:
+    """(p, q, s) of C_n, P_n or K_n (kind "C", "P" or "K" and n), of K_{a,b}
+    ("K", a, b) or of "petersen", where s is the sum of C(d, 2) over the
+    degrees.  It checks the parameters and the caps, so that a family member,
+    and an operation on one, is sized before anything is built."""
+    if kind == "petersen":
+        return 10, 15, 30
+    n = args[0]
+    if len(args) == 2:
+        b = args[1]
+        if n < 1 or b < 1:
+            raise ValueError(f"complete bipartite needs both parts >= 1, got {n},{b}")
+        p, q, s = n + b, n * b, n * comb(b, 2) + b * comb(n, 2)
+    elif kind == "C":
+        if n < 3:
+            raise ValueError(f"cycle needs n >= 3, got {n}")
+        p, q, s = n, n, n
+    elif kind == "P":
+        if n < 1:
+            raise ValueError(f"path needs n >= 1, got {n}")
+        p, q, s = n, n - 1, max(n - 2, 0)
+    else:
+        if n < 1:
+            raise ValueError(f"complete graph needs n >= 1, got {n}")
+        p, q, s = n, comb(n, 2), n * comb(n - 1, 2)
+    check_size(p, q)
+    return p, q, s
+
+
 def cycle(n: int) -> Graph:
-    if n < 3:
-        raise ValueError(f"cycle needs n >= 3, got {n}")
-    check_size(n, n)
+    family_size("C", n)
     return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
 def path(n: int) -> Graph:
-    if n < 1:
-        raise ValueError(f"path needs n >= 1, got {n}")
-    check_size(n, n - 1)
+    family_size("P", n)
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def complete(n: int) -> Graph:
-    if n < 1:
-        raise ValueError(f"complete graph needs n >= 1, got {n}")
-    check_size(n, n * (n - 1) // 2)
+    family_size("K", n)
     return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
-    if a < 1 or b < 1:
-        raise ValueError(f"complete bipartite needs both parts >= 1, got {a},{b}")
-    check_size(a + b, a * b)
+    family_size("K", a, b)
     return Graph(a + b, tuple((i, a + j) for i in range(a) for j in range(b)))
 
 

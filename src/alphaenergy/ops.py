@@ -52,10 +52,11 @@ def _subdivision(g: Graph, extra: Iterable[tuple[int, int]]) -> Graph:
     return Graph(g.p + g.q, (*edges, *extra))
 
 
-def _param(ok: bool, text: str) -> None:
+def _param(*rules: tuple[bool, str]) -> None:
     """Reject a parameter out of range, before any size is formed from it."""
-    if not ok:
-        raise ValueError(text)
+    for ok, text in rules:
+        if not ok:
+            raise ValueError(text)
 
 
 def middle_graph(g: Graph) -> Graph:
@@ -74,7 +75,6 @@ def central_graph(g: Graph) -> Graph:
 
 def splitting_graph(g: Graph, m: int) -> Graph:
     """Add m twin copies of every vertex, each joined to the original's neighbors."""
-    _param(m >= 1, f"splitting needs m >= 1, got {m}")
     OPS["splitting"].check(g, m)
     return _joined_copies(g, m + 1, ((0, i) for i in range(m + 1)), ())
 
@@ -87,7 +87,6 @@ def closed_splitting_graph(g: Graph) -> Graph:
 
 def shadow_graph(g: Graph, m: int) -> Graph:
     """m copies of g with copy_i(u) ~ copy_j(v) for every edge uv and all i, j."""
-    _param(m >= 2, f"shadow needs m >= 2, got {m}")
     OPS["shadow"].check(g, m)
     return _joined_copies(g, m, ((i, j) for i in range(m) for j in range(i, m)), ())
 
@@ -111,9 +110,8 @@ def line_graph(g: Graph) -> Graph:
 
 
 def iterated_line_graph(g: Graph, k: int) -> Graph:
-    """L^k(g), each level sized before it is built; k is capped as L(C_n) = C_n."""
-    _param(k >= 0, f"line iteration needs k >= 0, got {k}")
-    _param(k <= MAX_VERTICES, f"line iteration needs k <= {MAX_VERTICES}, got {k}")
+    """L^k(g), each level sized before it is built."""
+    OPS["line"].valid(k)
     for _ in range(k):
         g = line_graph(g)
     return g
@@ -122,10 +120,6 @@ def iterated_line_graph(g: Graph, k: int) -> Graph:
 def duplicate_graph(g: Graph, m: int) -> Graph:
     """m rounds of u' ~ v, v' ~ u per edge uv: 2**m copies, each joined to
     the copy whose index is its bitwise complement."""
-    _param(m >= 1, f"duplication needs m >= 1, got {m}")
-    # from m = 13 on, 2**m copies alone exceed the cap; 2**m is never formed
-    _param(m < MAX_VERTICES.bit_length(),
-           f"duplication result would exceed {MAX_VERTICES} vertices")
     OPS["duplicate"].check(g, m)
     k = 1 << m
     return _joined_copies(g, k, ((i, k - 1 - i) for i in range(k // 2)), ())
@@ -136,31 +130,50 @@ class _Op(NamedTuple):
     result: str                           # what a size error calls the result
     size: Callable[..., tuple[int, int]]  # size(p, q, s[, param]) -> the result's (p, q)
     build: Callable[..., Graph]           # build(g) or build(g, param)
+    valid: Optional[Callable[[int], None]] = None  # valid(param) rejects one out of range
 
     def check(self, g: Graph, *param: int) -> None:
-        """Check the result's size before it is built.  s counts the pairs of
-        edges of g that share an end: the sum of C(d, 2) over the degrees."""
-        s = sum(d * (d - 1) // 2 for d in degree_info(g).degrees)
-        check_size(*self.size(g.p, g.q, s, *param), self.result)
+        """Check the parameter, then the result's size, before it is built."""
+        self.check_counts(g.p, g.q, sum(d * (d - 1) // 2 for d in degree_info(g).degrees),
+                          *param)
+
+    def check_counts(self, p: int, q: int, s: int, *param: int) -> None:
+        """The same check from the argument's p, q and s, the number of pairs
+        of its edges that share an end: the sum of C(d, 2) over its degrees."""
+        if param:
+            self.valid(*param)
+        check_size(*self.size(p, q, s, *param), self.result)
 
 
-# The one list of operations: name -> parameter letter, size and builder.  Each
-# builder checks its size first; line's is one level's, checked at each level.
+# The one list of operations: name -> parameter letter, size, builder and the
+# parameter's range.  Each builder checks its size first; line's is one level's,
+# checked at each level, and line:0 is its argument.
 OPS: dict[str, _Op] = {
     "middle": _Op(None, "middle graph", lambda p, q, s: (p + q, 2 * q + s), middle_graph),
     "central": _Op(None, "central graph",
                    lambda p, q, s: (p + q, q + p * (p - 1) // 2), central_graph),
     "splitting": _Op("m", "splitting result",
-                     lambda p, q, s, m: ((m + 1) * p, (2 * m + 1) * q), splitting_graph),
+                     lambda p, q, s, m: ((m + 1) * p, (2 * m + 1) * q), splitting_graph,
+                     lambda m: _param((m >= 1, f"splitting needs m >= 1, got {m}"))),
     "closed-splitting": _Op(None, "closed splitting result",
                             lambda p, q, s: (2 * p, 3 * q + p), closed_splitting_graph),
-    "shadow": _Op("m", "shadow result", lambda p, q, s, m: (m * p, m * m * q), shadow_graph),
+    "shadow": _Op("m", "shadow result", lambda p, q, s, m: (m * p, m * m * q), shadow_graph,
+                  lambda m: _param((m >= 2, f"shadow needs m >= 2, got {m}"))),
     "closed-shadow": _Op(None, "closed shadow result",
                          lambda p, q, s: (2 * p, 4 * q + p), closed_shadow_graph),
     "ebd": _Op(None, "extended bipartite double", lambda p, q, s: (2 * p, 2 * q + p), ebd_graph),
-    "line": _Op("k", "line graph", lambda p, q, s: (q, s), iterated_line_graph),
+    # k is capped as L(C_n) = C_n
+    "line": _Op("k", "line graph", lambda p, q, s, k=1: (q, s) if k else (p, q),
+                iterated_line_graph,
+                lambda k: _param((k >= 0, f"line iteration needs k >= 0, got {k}"),
+                                 (k <= MAX_VERTICES,
+                                  f"line iteration needs k <= {MAX_VERTICES}, got {k}"))),
+    # from m = 13 on, 2**m copies alone exceed the cap; 2**m is never formed
     "duplicate": _Op("m", "duplication result",
-                     lambda p, q, s, m: (p << m, q << m), duplicate_graph),
+                     lambda p, q, s, m: (p << m, q << m), duplicate_graph,
+                     lambda m: _param((m >= 1, f"duplication needs m >= 1, got {m}"),
+                                      (m < MAX_VERTICES.bit_length(),
+                                       f"duplication result would exceed {MAX_VERTICES} vertices"))),
 }
 
 

@@ -5,7 +5,9 @@ For a graph G and weight a in [0, 1] the matrix is
     M_a(G) = a*D(G) + (1-a)*A(G)
 
 and for a < 1 the energy is sum_i |lambda_i(M_a) - 2*a*q/p|, i.e.
-deviations are measured from the average diagonal value.
+deviations are measured from the average diagonal value.  For an r-regular
+graph M_a = a*r*I + (1-a)*A, so its eigenvalues are a*r + (1-a)*lambda_i(A),
+the offset is a*r, and the energy is (1-a)*E(A).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -102,12 +104,16 @@ class EnergyReport:
     energy: float
 
 
-def alpha_energy(g: Graph, a: AlphaValue, graph_id: Optional[str] = None) -> EnergyReport:
-    """Energy report for one graph and one weight; rejects a = 1."""
-    if a.numeric >= 1.0:
+def _check_energy(g: Graph, alphas: Sequence[AlphaValue]) -> None:
+    if any(a.numeric >= 1.0 for a in alphas):
         raise ValueError("energy is defined for alpha < 1 only")
     if g.p < 1:
         raise ValueError("energy needs at least one vertex")
+
+
+def alpha_energy(g: Graph, a: AlphaValue, graph_id: Optional[str] = None) -> EnergyReport:
+    """Energy report for one graph and one weight; rejects a = 1."""
+    _check_energy(g, (a,))
     spec = alpha_spectrum(g, a)
     offset = 2.0 * a.numeric * g.q / g.p
     energy = math.fsum(abs(v - offset) for v in spec.values)
@@ -115,3 +121,14 @@ def alpha_energy(g: Graph, a: AlphaValue, graph_id: Optional[str] = None) -> Ene
         graph_id=graph_id if graph_id is not None else f"graph(p={g.p},q={g.q})",
         alpha=a, p=g.p, q=g.q, offset=offset,
         eigenvalues=spec, energy=energy)
+
+
+def alpha_energies(g: Graph, alphas: Sequence[AlphaValue]) -> tuple[float, ...]:
+    """Energies of g at each weight, all weights checked before any solve.
+    A regular graph takes one adjacency solve, as E_a = (1-a)*E(A); any
+    other graph takes one alpha_energy per weight."""
+    _check_energy(g, alphas)
+    if degree_info(g).regular is None:
+        return tuple(alpha_energy(g, a).energy for a in alphas)
+    e = math.fsum(abs(v) for v in sym_eigenvalues(adjacency_matrix(g)).values)
+    return tuple((1.0 - a.numeric) * e for a in alphas)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -117,6 +118,10 @@ class TestFormatting:
 
     def test_csv_is_stable(self):
         assert format_csv(table1()) == format_csv(table1())
+
+    def test_csv_bytes_are_pinned(self):
+        digest = hashlib.sha256(format_csv(table1()).encode()).hexdigest()
+        assert digest == "ceca8afb738fe17d349c0945d1e9dd7a4f99a9fc9b696132e41a60c9aba9951c"
 
     def test_json_table(self):
         out = json.loads(format_table_json(table1()))

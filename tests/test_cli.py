@@ -249,9 +249,11 @@ class TestUsageContract:
         ("verify", "ebd", "C4", "--alphas", "0.5:1.5:0.5"),
         ("sweep", "K1", "--alphas", "0:0.5:1/20002"),
         ("gen", "op:line:4097:C5"),
+        ("gen", "C" + "9" * 5000),
+        ("op", "middle", "K1," + "9" * 5000),
     ], ids=["empty-peer", "energy-over-cap", "sweep-over-cap", "classify-over-cap",
             "sweep-grid-above-1", "verify-grid-above-1", "grid-over-point-cap",
-            "line-over-iteration-cap"])
+            "line-over-iteration-cap", "family-of-5000-digits", "op-on-family-of-5000-digits"])
     def test_usage_error(self, capsys, argv):
         rc, out, err = run(capsys, *argv)
         assert rc == 2
@@ -286,6 +288,30 @@ class TestUsageContract:
         assert (rc, out) == (2, "")
         assert err.startswith("error:") and ("would exceed" in err or "exceeds cap" in err)
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("argv, message", [
+        (("gen", "op:line:1:K1000"), "line graph would exceed 4096 vertices"),
+        (("op", "splitting:1", "K640"), "splitting result would exceed 524288 edges"),
+        (("op", "central", "K1000"), "central graph would exceed 4096 vertices"),
+        (("op", "duplicate:13", "K1000"), "duplication result would exceed 4096 vertices")])
+    def test_operation_on_family_sized_before_the_family(self, capsys, argv, message):
+        # each family here is valid, and large: it is sized, not built
+        tracemalloc.start()
+        try:
+            rc, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("argv, message", [
+        (("gen", "op:splitting:0:C2"), "cycle needs n >= 3, got 2"),
+        (("op", "shadow:1", "K2000"), "edge count 1999000 exceeds cap 524288"),
+        (("gen", "op:shadow:1:K4"), "shadow needs m >= 2, got 1"),
+        (("op", "line:4097", "P1"), "line iteration needs k <= 4096, got 4097")])
+    def test_family_errors_come_before_operation_errors(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_edge_list_header_over_edge_cap(self, capsys, tmp_path):
         f = tmp_path / "big.txt"

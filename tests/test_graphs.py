@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from alphaenergy import (EdgeListError, Graph, adjacency_matrix, complete,
                          is_connected, line_graph, path, petersen,
                          read_edge_list, write_edge_list)
 from alphaenergy import graphs as graphs_module
-from alphaenergy.graphs import component_counts
+from alphaenergy.graphs import component_counts, family_size
 from conftest import graphs
 
 
@@ -94,6 +95,16 @@ class TestGenerators:
                             lambda p, q, result=None: predicted.append((p, q)) or check(p, q))
         g = build(*args)
         assert predicted[0] == (g.p, g.q)     # the family's own call, then Graph's
+
+    @pytest.mark.parametrize("kind, args, build", [
+        ("C", (3,), cycle), ("C", (9,), cycle), ("P", (1,), path), ("P", (2,), path),
+        ("P", (7,), path), ("K", (1,), complete), ("K", (6,), complete),
+        ("K", (1, 1), complete_bipartite), ("K", (3, 4), complete_bipartite),
+        ("petersen", (), petersen)])
+    def test_family_size_counts_degree_pairs(self, kind, args, build):
+        g = build(*args)
+        s = sum(math.comb(d, 2) for d in degree_info(g).degrees)
+        assert family_size(kind, *args) == (g.p, g.q, s)
 
     def test_cycle_too_small(self):
         with pytest.raises(ValueError):

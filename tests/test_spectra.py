@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 
 from alphaenergy import (AlphaValue, Graph, a_alpha_exact, a_alpha_matrix,
-                         adjacency_matrix, alpha, alpha_energy,
+                         adjacency_matrix, alpha, alpha_energies, alpha_energy,
                          alpha_spectrum, complete, complete_bipartite, cycle,
-                         multiset_deviation, petersen)
-from conftest import graphs
+                         degree_info, multiset_deviation, path, petersen,
+                         spectra, table1_rows, tenth_grid)
+from conftest import graphs, regular_bases
 
 
 class TestAlphaValue:
@@ -152,3 +153,64 @@ class TestEnergy:
             assert e == 0.0
         else:
             assert e > 1e-12
+
+
+def _counted_solves(monkeypatch) -> list[int]:
+    """Count the calls of the numeric eigensolver made through spectra."""
+    calls: list[int] = []
+    solve = spectra.sym_eigenvalues
+
+    def counted(m):
+        calls.append(1)
+        return solve(m)
+
+    monkeypatch.setattr(spectra, "sym_eigenvalues", counted)
+    return calls
+
+
+_TABLE1 = table1_rows()
+_REGULAR_ROWS = [(label, g) for label, g in _TABLE1 if degree_info(g).regular is not None]
+_IRREGULAR_ROWS = [(label, g) for label, g in _TABLE1 if degree_info(g).regular is None]
+
+
+class TestAlphaEnergies:
+    def test_table1_has_19_regular_rows(self):
+        assert len(_REGULAR_ROWS) == 19
+        assert [label for label, _ in _IRREGULAR_ROWS] == [
+            f"{op}({base})" for base in ("C4", "C5", "C6", "K3,3") for op in ("Spl", "Lambda")]
+
+    @pytest.mark.parametrize("label, g", regular_bases() + _REGULAR_ROWS)
+    def test_regular_rows_match_the_direct_route(self, label, g):
+        grid = tenth_grid()
+        for a, got in zip(grid, alpha_energies(g, grid)):
+            want = alpha_energy(g, a).energy
+            assert abs(got - want) <= 1e-12 * max(1.0, want), (label, a.numeric)
+
+    @pytest.mark.parametrize("label, g", _IRREGULAR_ROWS + [("P5", path(5))])
+    def test_irregular_rows_are_the_direct_route(self, label, g):
+        grid = tenth_grid()
+        assert alpha_energies(g, grid) == tuple(alpha_energy(g, a).energy for a in grid)
+
+    @pytest.mark.parametrize("g, solves", [(cycle(6), 1), (path(6), 10)])
+    def test_one_solve_per_regular_graph(self, monkeypatch, g, solves):
+        calls = _counted_solves(monkeypatch)
+        alpha_energies(g, tenth_grid())
+        assert len(calls) == solves
+
+    @pytest.mark.parametrize("g", [cycle(6), path(6)])
+    def test_weight_one_rejected_before_any_solve(self, monkeypatch, g):
+        calls = _counted_solves(monkeypatch)
+        with pytest.raises(ValueError, match="alpha < 1"):
+            alpha_energies(g, (*tenth_grid(), alpha("1")))
+        assert calls == []
+
+    def test_weight_checked_before_vertices(self):
+        with pytest.raises(ValueError, match="alpha < 1"):
+            alpha_energies(Graph(0), (alpha("0"), alpha("1")))
+
+    def test_rejects_empty_graph(self):
+        with pytest.raises(ValueError, match="energy needs at least one vertex"):
+            alpha_energies(Graph(0), tenth_grid())
+
+    def test_edgeless_graph_has_zero_energy(self):
+        assert alpha_energies(Graph(5), tenth_grid()) == (0.0,) * 10
