@@ -4,21 +4,40 @@
 Runs every closed-form operation instance against a menagerie of regular
 base graphs over a weight grid, checking the predicted spectrum against
 the numeric eigensolver (and the exact rational oracle where it applies).
-Prints one line per (operation, base) with the worst deviation seen, and
-exits 1 if anything lands outside tolerance.
+Where the operated graph has n <= CHARPOLY_MAX_N vertices it also proves
+the form's characteristic-polynomial identity at a = t/n, t = 0..n, which
+holds then for every weight.  Prints one line per (operation, base) with
+the worst deviation seen, and exits 1 if anything lands outside tolerance
+or an identity fails.
 """
 
 import argparse
 import sys
 from fractions import Fraction
 
-from alphaenergy.closed_forms import CLOSED_FORM_INSTANCES, verify_closed_form
+from alphaenergy.closed_forms import (CLOSED_FORM_INSTANCES, closed_form_identity,
+                                      verify_closed_form)
 from alphaenergy.graphs import complete, complete_bipartite, cycle, petersen
+from alphaenergy.linalg import CHARPOLY_MAX_N
+from alphaenergy.ops import apply_op, parse_op
 from alphaenergy.spectra import AlphaValue
 
 BASES = [("C%d" % n, cycle(n)) for n in range(3, 9)]
 BASES += [("K%d" % n, complete(n)) for n in range(2, 7)]
 BASES += [("K3,3", complete_bipartite(3, 3)), ("petersen", petersen())]
+PROVED = "identity proved for every alpha"
+
+
+def prove(op: str, g) -> str:
+    """The identity at a = t/n, t = 0..n: PROVED, "identity FAILED at a = ...",
+    or "" when the operated graph is over CHARPOLY_MAX_N."""
+    n = apply_op(parse_op(op), g).p
+    if n > CHARPOLY_MAX_N:
+        return ""
+    for t in range(n + 1):
+        if not closed_form_identity(op, g, AlphaValue.from_fraction(Fraction(t, n))):
+            return f"identity FAILED at a = {t}/{n}"
+    return PROVED
 
 
 def alpha_grid(step: Fraction) -> list[AlphaValue]:
@@ -62,9 +81,12 @@ def main(argv=None) -> int:
             except ValueError as e:
                 print(f"{op:16s} {label:9s} skip ({e})")
                 continue
+            proof = prove(op, g)
+            failures += proof.startswith("identity FAILED")
             status = "ok" if worst <= args.tol else "FAIL"
             print(f"{op:16s} {label:9s} {status:4s} max dev {worst:.3e}"
-                  f"  ({len(grid)} weights, {exact_runs} exact)")
+                  f"  ({len(grid)} weights, {exact_runs} exact)"
+                  + (f", {proof}" if proof else ""))
     print(f"{failures} failure(s), tol {args.tol:g}")
     return 1 if failures else 0
 

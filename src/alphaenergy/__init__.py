@@ -13,12 +13,12 @@ from .linalg import (RationalPoly, Spectrum, SymMatrix, charpoly_exact,
                      sym_eigenvalues)
 from .spectra import (AlphaValue, EnergyReport, a_alpha_exact, a_alpha_matrix,
                       alpha, alpha_energies, alpha_energy, alpha_spectrum)
-from .closed_forms import (CLOSED_FORM_OPS, COEFF_TABLES, RegularBase,
+from .closed_forms import (CLOSED_FORMS, ClosedForm, RegularBase,
                            VerificationRecord, cf_central_spectrum,
                            cf_closed_shadow_spectrum, cf_closed_splitting_spectrum,
                            cf_ebd_spectrum, cf_middle_spectrum,
                            cf_remark_energies, cf_splitting_spectrum,
-                           verify_closed_form)
+                           closed_form_identity, verify_closed_form)
 from .analysis import (BulletResult, ClassificationResult, ObservationsReport,
                        SweepTable, classify, energy_report_json, format_csv,
                        format_table_json, observations_report,
@@ -39,11 +39,11 @@ __all__ = [
     "sym_eigenvalues",
     "AlphaValue", "EnergyReport", "a_alpha_exact", "a_alpha_matrix",
     "alpha", "alpha_energies", "alpha_energy", "alpha_spectrum",
-    "CLOSED_FORM_OPS", "COEFF_TABLES", "RegularBase", "VerificationRecord",
+    "CLOSED_FORMS", "ClosedForm", "RegularBase", "VerificationRecord",
     "cf_central_spectrum", "cf_closed_shadow_spectrum",
     "cf_closed_splitting_spectrum", "cf_ebd_spectrum",
     "cf_middle_spectrum", "cf_remark_energies", "cf_splitting_spectrum",
-    "verify_closed_form",
+    "closed_form_identity", "verify_closed_form",
     "BulletResult", "ClassificationResult", "ObservationsReport",
     "SweepTable", "classify", "energy_report_json", "format_csv",
     "format_table_json", "observations_report", "reference_energy",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -29,7 +30,7 @@ from typing import Callable, Optional
 
 from .analysis import (format_csv, format_table_json, energy_report_json,
                        classify, sweep_table, table1)
-from .closed_forms import CLOSED_FORM_OPS, verify_closed_form
+from .closed_forms import CLOSED_FORMS, verify_closed_form
 from .graphs import (Graph, complete, complete_bipartite, cycle, degree_info,
                      family_size, path, petersen, read_edge_list, write_edge_list)
 from .ops import OPS, OpDescriptor, apply_op, op_label, parse_op, split_op
@@ -132,6 +133,18 @@ def _parse_alpha_grid(text: str) -> list[AlphaValue]:
     return [AlphaValue.from_fraction(lo + k * step) for k in range(count)]
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value, finite and >= 0: a NaN tolerance fails every check and
+    an infinite one passes every check."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise UsageError(f"--tol must be a finite number >= 0, got {text!r}")
+    return tol
+
+
 def _measurable(label: str, g: Graph) -> None:
     """Reject, before any work, a graph the numeric eigensolver cannot take."""
     if not 1 <= g.p <= SYM_EIG_MAX_N:
@@ -206,7 +219,7 @@ def _cmd_verify(args) -> int:
         op = parse_op(args.operation)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    if op.name not in CLOSED_FORM_OPS:
+    if op.name not in CLOSED_FORMS:
         raise UsageError(f"no closed form for operation {args.operation!r}")
     label, g = parse_graph_source(args.source)
     _measurable(label, g)
@@ -289,14 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("operation")
     p.add_argument("source")
     p.add_argument("--alphas", default="0:0.75:0.25", help="grid lo:hi:step")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("classify", help="borderenergetic/hyperenergetic verdict")
     p.add_argument("source")
     p.add_argument("--alpha", required=True)
     p.add_argument("--peers", nargs="*", default=[])
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("table1", help="headline energy table")
@@ -307,14 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as e:
+    except SystemExit as e:     # argparse's own usage errors, and --help
+        return e.code if isinstance(e.code, int) else 2
+    except UsageError as e:     # from a command, or from an argument's type
         print(f"error: {e}", file=sys.stderr)
         return 2
 

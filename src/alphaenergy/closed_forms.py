@@ -1,21 +1,23 @@
 """Closed-form spectra for operations applied to regular graphs.
 
-Each formula is written against a named table of structural constants
-(the integers that appear in the algebra).  Passing ``coeffs`` overrides
-individual constants, which lets the verification harness corrupt a
-single constant and confirm the check trips; production callers leave it
-None.
-
-``verify_closed_form`` compares a closed form against the numeric
-eigensolver and, when the weight is rational and the graph is small
-enough, against roots of the exact characteristic polynomial as well.
+``CLOSED_FORMS`` declares each form once: its structural constants (the
+integers in the algebra, which ``coeffs`` may override one at a time so a
+negative control can corrupt one) and a block, per base eigenvalue, that
+both routes read.  ``ClosedForm.__call__`` evaluates it in floats over the
+base spectrum, and ``verify_closed_form`` compares that with the numeric
+eigensolver and, at a rational weight on a small enough graph, with roots
+of the exact characteristic polynomial.  ``closed_form_identity`` proves
+the block exactly, from the base's adjacency matrix, with no eigenvalue.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from fractions import Fraction
+from typing import Any, Callable, Mapping, NamedTuple, Optional
+
+import numpy as np
 
 from .graphs import Graph, adjacency_matrix, component_counts, degree_info
 from .linalg import (CHARPOLY_MAX_N, Spectrum, charpoly_exact, make_spectrum,
@@ -50,12 +52,10 @@ class RegularBase:
             if abs(spec[i] - want) > BASE_TOL:
                 raise ValueError(f"adjacency eigenvalue {spec[i]!r} should be {want}")
             spec[i] = float(want)
-        return cls(p=g.p, q=g.q, r=r, base_spectrum=tuple(spec),
-                   connected=components == 1)
+        return cls(g.p, g.q, r, tuple(spec), connected=components == 1)
 
 
-def _merge(defaults: Mapping[str, float],
-           coeffs: Optional[Mapping[str, float]]) -> dict[str, float]:
+def _merge(defaults: Mapping[str, float], coeffs: Optional[Mapping[str, float]]) -> dict:
     out = dict(defaults)
     if coeffs:
         unknown = set(coeffs) - set(out)
@@ -71,152 +71,135 @@ def _pair(x: float, y: float, z: float) -> tuple[float, float]:
     return mid + half, mid - half
 
 
-MIDDLE_COEFFS: dict[str, float] = {
-    "rep_deg": 2.0,     # repeated value 2*a*r ...
-    "rep_adj": 2.0,     # ... minus 2*(1-a)
-    "edge_deg": 2.0,    # edge-vertex degree 2r
-    "edge_shift": 2.0,  # edge-vertex adjacency R^T R - 2I
-}
+class Block(NamedTuple):
+    """Per base eigenvalue lambda, [[x, y], [y, z]] with x = x0 + x1*lambda
+    (+ j*p on the leading lambda = r, from j*J), y**2 = g2*(l0 + l1*lambda)**e
+    and z = z0 + z1*lambda; then ``count`` values ``rep``."""
+
+    x: tuple   # (x0, x1)
+    y2: tuple  # (g2, l0, l1, e), e in {0, 1, 2}
+    z: tuple   # (z0, z1)
+    j: Any = 0
+    rep: Any = 0
+    count: int = 0
 
 
-def cf_middle_spectrum(b: RegularBase, a: AlphaValue,
-                       coeffs: Optional[Mapping[str, float]] = None) -> Spectrum:
-    """Spectrum of M_a(middle(G)) for an r-regular base, r >= 2.
+@dataclass(frozen=True)
+class ClosedForm:
+    """``block(c, al, w, base, m)`` takes the coefficients, a, 1 - a, the base and
+    the operation's parameter, and uses only + - *: floats and Fractions both pass."""
 
-    Per lambda, the block [[a*r, y], [y, 2*a*r + (1-a)*(lambda + r - 2)]]
-    with y = (1-a)*sqrt(lambda + r), on x and R^T x (R the incidence
-    matrix); the kernel of R adds q - p values 2*a*r - 2*(1-a).
-    """
+    coeffs: Mapping[str, float]
+    block: Callable[..., Block]
+    deviation: Optional[str] = None   # where the form departs from the paper
+
+    def __call__(self, b: RegularBase, m: Optional[int], a: AlphaValue,
+                 coeffs: Optional[Mapping[str, float]] = None) -> Spectrum:
+        """The float spectrum: ``_pair`` over the base spectrum."""
+        k = self.block(_merge(self.coeffs, coeffs), a.numeric, 1.0 - a.numeric, b, m)
+        (x0, x1), (g2, l0, l1, e), (z0, z1) = k.x, k.y2, k.z
+        vals = [k.rep] * k.count
+        for i, lam in enumerate(b.base_spectrum):
+            # l first: y**2 expanded in powers of lambda cancels where y is 0
+            y = math.sqrt(g2 * (l0 + l1 * lam) ** e)
+            vals.extend(_pair(x0 + x1 * lam + (k.j * b.p if i == 0 else 0), y,
+                              z0 + z1 * lam))
+        return make_spectrum(vals)
+
+
+def _middle(c, al, w, b, m) -> Block:
+    """[[a*r, y], [y, 2*a*r + (1-a)*(lambda + r - 2)]], y = (1-a)*sqrt(lambda + r),
+    on x and R^T x (R the incidence matrix); ker R: q - p values 2*a*r - 2*(1-a)."""
     if b.r < 2:
         raise ValueError(f"middle closed form needs r >= 2, got r={b.r}")
-    c = _merge(MIDDLE_COEFFS, coeffs)
-    al, w, r = a.numeric, 1.0 - a.numeric, float(b.r)
-    vals = [c["rep_deg"] * al * r - c["rep_adj"] * w] * (b.q - b.p)
-    for lam in b.base_spectrum:
-        vals.extend(_pair(al * r, w * math.sqrt(lam + r),
-                          c["edge_deg"] * al * r + w * (lam + r - c["edge_shift"])))
-    return make_spectrum(vals)
+    return Block(x=(al * b.r, 0), y2=(w * w, b.r, 1, 1),
+                 z=(c["edge_deg"] * al * b.r + w * (b.r - c["edge_shift"]), w),
+                 rep=c["rep_deg"] * al * b.r - c["rep_adj"] * w, count=b.q - b.p)
 
 
-CENTRAL_COEFFS: dict[str, float] = {
-    "rep_gain": 2.0,   # repeated value 2*a
-    "edge_deg": 2.0,   # subdivision-vertex degree 2
-    "deg_one": 1.0,    # original-vertex degree p - 1
-    "comp_one": 1.0,   # complement adjacency J - I - A
-    "join": 1.0,       # J is p on the all-ones vector
-}
-
-
-def cf_central_spectrum(b: RegularBase, a: AlphaValue,
-                        coeffs: Optional[Mapping[str, float]] = None) -> Spectrum:
-    """Spectrum of M_a(central(G)) for a connected r-regular base, r >= 2.
-
-    Per lambda, the block [[a*(p-1) - (1-a)*(lambda + 1), y], [y, 2*a]] with
-    y = (1-a)*sqrt(lambda + r), on x and R^T x, plus (1-a)*p in the corner
-    from J for the leading lambda = r; the kernel of R adds q - p values 2*a.
-    """
+def _central(c, al, w, b, m) -> Block:
+    """[[a*(p-1) - (1-a)*(lambda + 1) + (1-a)*J, y], [y, 2*a]], y as for middle,
+    on x and R^T x; ker R: q - p values 2*a."""
     if b.r < 2:
         raise ValueError(f"central closed form needs r >= 2, got r={b.r}")
     if not b.connected:
         raise ValueError("central closed form needs a connected base")
-    c = _merge(CENTRAL_COEFFS, coeffs)
-    al, w, r, p = a.numeric, 1.0 - a.numeric, float(b.r), float(b.p)
-    vals = [c["rep_gain"] * al] * (b.q - b.p)
-    for i, lam in enumerate(b.base_spectrum):
-        x = al * (p - c["deg_one"]) - w * (lam + c["comp_one"])
-        if i == 0:
-            x += c["join"] * w * p
-        vals.extend(_pair(x, w * math.sqrt(lam + r), c["edge_deg"] * al))
-    return make_spectrum(vals)
+    return Block(x=(al * (b.p - c["deg_one"]) - w * c["comp_one"], -w),
+                 y2=(w * w, b.r, 1, 1), z=(c["edge_deg"] * al, 0),
+                 j=c["join"] * w, rep=c["rep_gain"] * al, count=b.q - b.p)
 
 
-SPLITTING_COEFFS: dict[str, float] = {
-    "orig_one": 1.0,   # original-vertex degree (m + 1)*r
-    "clone_deg": 1.0,  # clone degree r
-    "rep": 1.0,        # repeated value a*r (m >= 2 only)
-}
-
-
-def cf_splitting_spectrum(b: RegularBase, m: int, a: AlphaValue,
-                          coeffs: Optional[Mapping[str, float]] = None) -> Spectrum:
-    """Spectrum of M_a(splitting_m(G)) for an r-regular base.
-
-    Per lambda, the block [[a*(m+1)*r + (1-a)*lambda, y], [y, a*r]] with
-    y = sqrt(m)*(1-a)*lambda, on x and x spread evenly over the m clone
-    layers; the other clone combinations add p*(m-1) values a*r.
-    """
+def _splitting(c, al, w, b, m) -> Block:
+    """[[a*(m+1)*r + (1-a)*lambda, sqrt(m)*(1-a)*lambda], [., a*r]], on x and x
+    spread over the m clone layers; the other clone sums: p*(m-1) values a*r."""
     if m < 1:
         raise ValueError(f"splitting closed form needs m >= 1, got {m}")
-    c = _merge(SPLITTING_COEFFS, coeffs)
-    al, w, r = a.numeric, 1.0 - a.numeric, float(b.r)
-    vals = [c["rep"] * al * r] * (b.p * (m - 1))
-    for lam in b.base_spectrum:
-        vals.extend(_pair(al * (m + c["orig_one"]) * r + w * lam,
-                          math.sqrt(m) * w * lam, c["clone_deg"] * al * r))
-    return make_spectrum(vals)
+    return Block(x=(al * (m + c["orig_one"]) * b.r, w), y2=(m * w * w, 0, 1, 2),
+                 z=(c["clone_deg"] * al * b.r, 0), rep=c["rep"] * al * b.r,
+                 count=b.p * (m - 1))
 
 
-CLOSED_SPLITTING_COEFFS: dict[str, float] = {
-    "orig_deg": 2.0,    # original-vertex degree 2r + 1
-    "orig_one": 1.0,
-    "clone_one": 1.0,   # clone degree r + 1
-    "match_one": 1.0,   # coupling (1-a)*(lambda + 1)
+def _closed_splitting(c, al, w, b, m) -> Block:
+    """[[a*(2r+1) + (1-a)*lambda, (1-a)*(lambda + 1)], [., a*(r+1)]], on x at
+    the originals and at the clones."""
+    return Block(x=(al * (c["orig_deg"] * b.r + c["orig_one"]), w),
+                 y2=(w * w, c["match_one"], 1, 2), z=(al * (b.r + c["clone_one"]), 0))
+
+
+def _closed_shadow(c, al, w, b, m) -> Block:
+    """Diagonal: 2*(1-a)*lambda + 2*a*r + 1, and 2*a*(r+1) - 1, per lambda."""
+    return Block(x=(c["pair_deg"] * al * b.r + c["pair_one"], c["pair_adj"] * w),
+                 y2=(0, 0, 0, 0), z=(c["flat_deg"] * al * (b.r + 1) - c["flat_one"], 0))
+
+
+def _ebd(c, al, w, b, m) -> Block:
+    """[[a*(r+1), (1-a)*(lambda + 1)], [., a*(r+1)]], on x at both copies."""
+    centre = al * (b.r + c["deg_one"])
+    return Block(x=(centre, 0), y2=(w * w, c["adj_one"], 1, 2), z=(centre, 0))
+
+
+CLOSED_FORMS: dict[str, ClosedForm] = {
+    "middle": ClosedForm({"rep_deg": 2.0, "rep_adj": 2.0,      # repeated 2*a*r - 2*(1-a)
+                          "edge_deg": 2.0, "edge_shift": 2.0},  # degree 2r; R^T R - 2I
+                         _middle),
+    "central": ClosedForm({"rep_gain": 2.0,                # repeated value 2*a
+                           "edge_deg": 2.0,                # subdivision-vertex degree 2
+                           "deg_one": 1.0, "comp_one": 1.0,  # degree p - 1; J - I - A
+                           "join": 1.0},                   # J is p on the all-ones vector
+                          _central, "constant term uses (2p - r)*a^2, reading the "
+                                    "printed '2n - r' with n = p"),
+    "splitting": ClosedForm({"orig_one": 1.0,    # original-vertex degree (m + 1)*r
+                             "clone_deg": 1.0,   # clone degree r
+                             "rep": 1.0},        # repeated value a*r (m >= 2 only)
+                            _splitting, "discriminant leading term is (a*r*m)^2; the "
+                                        "printed form has (a*r*(m+2))^2, which fails "
+                                        "the numeric oracle"),
+    "closed-splitting": ClosedForm({"orig_deg": 2.0, "orig_one": 1.0,  # degree 2r + 1
+                                    "clone_one": 1.0,   # clone degree r + 1
+                                    "match_one": 1.0},  # coupling (1-a)*(lambda + 1)
+                                   _closed_splitting),
+    "closed-shadow": ClosedForm({"pair_adj": 2.0, "pair_deg": 2.0,  # 2(1-a)lambda + 2ar
+                                 "pair_one": 1.0,                   # ... + 1
+                                 "flat_deg": 2.0, "flat_one": 1.0},  # 2a(r+1) - 1
+                                _closed_shadow),
+    "ebd": ClosedForm({"deg_one": 1.0, "adj_one": 1.0}, _ebd),  # a*(r+1); (1-a)*(lambda+1)
 }
+_CF_DISPATCH = CLOSED_FORMS   # the former private name, still called by perfbench
 
 
-def cf_closed_splitting_spectrum(b: RegularBase, a: AlphaValue,
-                                 coeffs: Optional[Mapping[str, float]] = None) -> Spectrum:
-    """Spectrum of M_a(closed_splitting(G)) for an r-regular base.
-
-    Per lambda, the block [[a*(2r+1) + (1-a)*lambda, (1-a)*(lambda + 1)],
-    [(1-a)*(lambda + 1), a*(r+1)]], on x at the originals and at the clones.
-    """
-    c = _merge(CLOSED_SPLITTING_COEFFS, coeffs)
-    al, w, r = a.numeric, 1.0 - a.numeric, float(b.r)
-    return make_spectrum([
-        v for lam in b.base_spectrum
-        for v in _pair(al * (c["orig_deg"] * r + c["orig_one"]) + w * lam,
-                       w * (lam + c["match_one"]), al * (r + c["clone_one"]))])
-
-
-CLOSED_SHADOW_COEFFS: dict[str, float] = {
-    "pair_adj": 2.0,   # 2*(1-a)*lambda
-    "pair_deg": 2.0,   # + 2*a*r
-    "pair_one": 1.0,   # + 1
-    "flat_deg": 2.0,   # repeated 2*a*(r+1)
-    "flat_one": 1.0,   # repeated ... - 1
-}
-
-
-def cf_closed_shadow_spectrum(b: RegularBase, a: AlphaValue,
-                              coeffs: Optional[Mapping[str, float]] = None) -> Spectrum:
-    """Spectrum of M_a(closed_shadow(G)) for an r-regular base."""
-    c = _merge(CLOSED_SHADOW_COEFFS, coeffs)
-    al, w, r = a.numeric, 1.0 - a.numeric, float(b.r)
-    vals = [c["flat_deg"] * al * (r + 1.0) - c["flat_one"]] * b.p
-    vals.extend(c["pair_adj"] * w * lam + c["pair_deg"] * al * r + c["pair_one"]
-                for lam in b.base_spectrum)
-    return make_spectrum(vals)
-
-
-EBD_COEFFS: dict[str, float] = {
-    "deg_one": 1.0,   # centre a*(r + 1)
-    "adj_one": 1.0,   # halfwidth (1-a)*(lambda + 1)
-}
-
-
-def cf_ebd_spectrum(b: RegularBase, a: AlphaValue,
-                    coeffs: Optional[Mapping[str, float]] = None) -> Spectrum:
-    """Spectrum of M_a(ebd(G)) for an r-regular base.
-
-    Per lambda, the block [[a*(r+1), (1-a)*(lambda + 1)],
-    [(1-a)*(lambda + 1), a*(r+1)]], on x at both copies.
-    """
-    c = _merge(EBD_COEFFS, coeffs)
-    al, w, r = a.numeric, 1.0 - a.numeric, float(b.r)
-    centre = al * (r + c["deg_one"])
-    return make_spectrum([v for lam in b.base_spectrum
-                          for v in _pair(centre, w * (lam + c["adj_one"]), centre)])
+# The public names: (base, [m,] weight, coeffs) -> Spectrum.
+def cf_middle_spectrum(b, a, coeffs=None):
+    return CLOSED_FORMS["middle"](b, None, a, coeffs)
+def cf_central_spectrum(b, a, coeffs=None):
+    return CLOSED_FORMS["central"](b, None, a, coeffs)
+def cf_splitting_spectrum(b, m, a, coeffs=None):
+    return CLOSED_FORMS["splitting"](b, m, a, coeffs)
+def cf_closed_splitting_spectrum(b, a, coeffs=None):
+    return CLOSED_FORMS["closed-splitting"](b, None, a, coeffs)
+def cf_closed_shadow_spectrum(b, a, coeffs=None):
+    return CLOSED_FORMS["closed-shadow"](b, None, a, coeffs)
+def cf_ebd_spectrum(b, a, coeffs=None):
+    return CLOSED_FORMS["ebd"](b, None, a, coeffs)
 
 
 def cf_remark_energies(b: RegularBase, op: OpDescriptor | str, a: AlphaValue) -> float:
@@ -254,40 +237,17 @@ def cf_remark_energies(b: RegularBase, op: OpDescriptor | str, a: AlphaValue) ->
     raise ValueError(f"no energy identity for operation {op.name!r}")
 
 
-# ----------------------------------------------------------------------
-# verification against the two oracles
-
-# Places where the implemented algebra deviates from its printed source.
-PAPER_DEVIATIONS: dict[str, str] = {
-    "splitting": ("discriminant leading term is (a*r*m)^2; the printed form "
-                  "has (a*r*(m+2))^2, which fails the numeric oracle"),
-    "central": ("constant term uses (2p - r)*a^2, reading the printed "
-                "'2n - r' with n = p"),
-}
-
-_CF_DISPATCH = {
-    "middle": lambda b, m, a, coeffs: cf_middle_spectrum(b, a, coeffs),
-    "central": lambda b, m, a, coeffs: cf_central_spectrum(b, a, coeffs),
-    "splitting": lambda b, m, a, coeffs: cf_splitting_spectrum(b, m, a, coeffs),
-    "closed-splitting": lambda b, m, a, coeffs: cf_closed_splitting_spectrum(b, a, coeffs),
-    "closed-shadow": lambda b, m, a, coeffs: cf_closed_shadow_spectrum(b, a, coeffs),
-    "ebd": lambda b, m, a, coeffs: cf_ebd_spectrum(b, a, coeffs),
-}
-
-CLOSED_FORM_OPS = tuple(_CF_DISPATCH)
-
 # What the batteries check: every operation, with splitting at m = 1, 2, 3.
 CLOSED_FORM_INSTANCES = ("middle", "central", "splitting:1", "splitting:2",
                          "splitting:3", "closed-splitting", "closed-shadow", "ebd")
 
-COEFF_TABLES: dict[str, dict[str, float]] = {
-    "middle": MIDDLE_COEFFS,
-    "central": CENTRAL_COEFFS,
-    "splitting": SPLITTING_COEFFS,
-    "closed-splitting": CLOSED_SPLITTING_COEFFS,
-    "closed-shadow": CLOSED_SHADOW_COEFFS,
-    "ebd": EBD_COEFFS,
-}
+
+def _lookup(op: OpDescriptor | str) -> tuple[OpDescriptor, ClosedForm]:
+    if isinstance(op, str):
+        op = parse_op(op)
+    if op.name not in CLOSED_FORMS:
+        raise ValueError(f"no closed form for operation {op.name!r}")
+    return op, CLOSED_FORMS[op.name]
 
 
 @dataclass(frozen=True)
@@ -309,23 +269,17 @@ class VerificationRecord:
         return out
 
 
-def verify_closed_form(op: OpDescriptor | str, g: Graph, a: AlphaValue,
-                       tol: float = 1e-8,
+def verify_closed_form(op: OpDescriptor | str, g: Graph, a: AlphaValue, tol: float = 1e-8,
                        coeffs: Optional[Mapping[str, float]] = None,
                        exact: Optional[bool] = None,
                        base_id: Optional[str] = None) -> VerificationRecord:
-    """Compare a closed-form spectrum against independently computed ones.
-
-    The numeric oracle always runs.  The exact oracle (rational
-    characteristic polynomial) runs when ``exact`` is True, or by default
-    whenever alpha is rational and the operated graph is small enough.
-    """
-    if isinstance(op, str):
-        op = parse_op(op)
-    if op.name not in _CF_DISPATCH:
-        raise ValueError(f"no closed form for operation {op.name!r}")
+    """Compare a closed-form spectrum against the numeric oracle, which always
+    runs, and the exact one (roots of the rational characteristic polynomial),
+    which runs when ``exact`` is True, or by default whenever alpha is
+    rational and the operated graph is small enough."""
+    op, form = _lookup(op)
     b = RegularBase.from_graph(g)
-    cf = _CF_DISPATCH[op.name](b, op.param, a, coeffs)
+    cf = form(b, op.param, a, coeffs)
     operated = apply_op(op, g)
     numeric_dev = multiset_deviation(cf.values, alpha_spectrum(operated, a).values)
     dev, exact_dev = numeric_dev, None
@@ -336,11 +290,41 @@ def verify_closed_form(op: OpDescriptor | str, g: Graph, a: AlphaValue,
         exact_dev = multiset_deviation(cf.values, roots)
         dev = max(dev, exact_dev)
     return VerificationRecord(
-        op=op_label(op),
-        base=base_id if base_id is not None else f"graph(p={g.p},q={g.q})",
-        alpha=a.numeric,
-        max_dev=dev,
-        passed=dev <= tol,
-        numeric_dev=numeric_dev,
-        paper_deviation=PAPER_DEVIATIONS.get(op.name),
-        exact_dev=exact_dev)
+        op=op_label(op), base=base_id if base_id is not None else f"graph(p={g.p},q={g.q})",
+        alpha=a.numeric, max_dev=dev, passed=dev <= tol, numeric_dev=numeric_dev,
+        paper_deviation=form.deviation, exact_dev=exact_dev)
+
+
+def closed_form_identity(op: OpDescriptor | str, g: Graph, a: AlphaValue,
+                         coeffs: Optional[Mapping[str, float]] = None) -> bool:
+    """Whether det(xI - M_a(op G)) == (x - rep)**count * det(xI - [[X, Y2], [I, Z]])
+    at a rational weight, with X = x0*I + x1*A + j*J, Y2 = g2*(l0*I + l1*A)**e
+    and Z = z0*I + z1*A in the base's adjacency matrix A.  These commute, so
+    that is det((xI - X)(xI - Z) - Y2), the block's.  Each coefficient has
+    degree <= n in a (n the operated order): n + 1 weights prove every a."""
+    op, form = _lookup(op)
+    if a.exact is None:
+        raise ValueError("the identity needs a rational alpha")
+    r = degree_info(g).regular
+    if r is None:
+        raise ValueError("base graph must be regular")
+    got = charpoly_exact(a_alpha_exact(apply_op(op, g), a)).coefficients
+    shape = RegularBase(g.p, g.q, r, (), component_counts(g)[0] == 1)   # no spectrum
+    c = {name: Fraction(v) for name, v in _merge(form.coeffs, coeffs).items()}
+    k = form.block(c, a.exact, 1 - a.exact, shape, op.param)
+    g2, l0, l1, e = k.y2
+    y2 = [g2]
+    for _ in range(e):   # g2*(l0 + l1*t)**e, ascending in t
+        y2 = [u * l0 + v * l1 for u, v in zip(y2 + [0], [0] + y2)]
+    # s * sum_i coefs[i] * A**i in Python integers (object arrays: no int64 overflow)
+    s = math.lcm(*(Fraction(v).denominator for v in (*k.x, *y2, *k.z, k.j, k.rep)))
+    adj = adjacency_matrix(g).astype(np.int64)
+    powers = [m.astype(object) for m in (np.eye(g.p, dtype=np.int64), adj, adj @ adj)]
+    x, y, one, z = (sum(int(s * v) * pw for v, pw in zip(coefs, powers))
+                    for coefs in (k.x, y2, (1,), k.z))
+    blk = np.block([[x + int(s * k.j), y], [one, z]])
+    want = [int(v) for v in charpoly_exact(blk.tolist()).coefficients]   # det(xI - s*block)
+    rep = int(s * k.rep)
+    for _ in range(k.count):   # times (x - s*rep)
+        want = [v - rep * u for u, v in zip(want + [0], [0] + want)]
+    return got == tuple(Fraction(v, s ** (len(want) - 1 - i)) for i, v in enumerate(want))

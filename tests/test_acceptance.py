@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from alphaenergy import (COEFF_TABLES, AlphaValue, RegularBase, alpha,
+from alphaenergy import (CLOSED_FORMS, AlphaValue, RegularBase, alpha,
                          alpha_energy, alpha_spectrum, a_alpha_exact,
                          apply_op, cf_remark_energies, charpoly_exact,
                          complete, complete_bipartite, cycle, degree_info,
@@ -393,7 +393,7 @@ def test_criterion_7_negative_control():
     undetected = []
     checked = 0
     for op_name, op_text in probes.items():
-        for coeff, default in COEFF_TABLES[op_name].items():
+        for coeff, default in CLOSED_FORMS[op_name].coeffs.items():
             checked += 1
             tweak = {coeff: default + 1e-3}
             caught = False

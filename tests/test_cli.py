@@ -199,6 +199,15 @@ class TestVerify:
         assert rc == 1
         assert any(not json.loads(line)["pass"] for line in out.splitlines())
 
+    def test_zero_tolerance_is_valid(self, capsys):
+        # a tolerance of 0 is a valid request that only an exact match passes
+        rc, out, err = run(capsys, "verify", "closed-shadow", "K2", "--tol", "0",
+                           "--alphas", "0:0:1")
+        assert rc in (0, 1) and err == ""
+        assert json.loads(out)["pass"] == (json.loads(out)["max_dev"] == 0.0)
+        rc, out, _ = run(capsys, "classify", "K8", "--alpha", "0.3", "--tol", "0")
+        assert rc == 0 and json.loads(out)["graph"] == "K8"
+
     def test_precondition_violation_is_usage_error(self, capsys):
         rc, _, err = run(capsys, "verify", "middle", "K2")
         assert rc == 2
@@ -251,9 +260,18 @@ class TestUsageContract:
         ("gen", "op:line:4097:C5"),
         ("gen", "C" + "9" * 5000),
         ("op", "middle", "K1," + "9" * 5000),
+        ("verify", "ebd", "C4", "--tol", "nan"),
+        ("verify", "ebd", "C4", "--tol", "inf"),
+        ("verify", "ebd", "C4", "--tol=-1e-8"),
+        ("verify", "ebd", "C4", "--tol", "tight"),
+        ("classify", "op:closed-shadow:C4", "--alpha", "0.3", "--peers", "K8", "--tol", "nan"),
+        ("classify", "C4", "--alpha", "0.3", "--tol", "inf"),
+        ("classify", "C4", "--alpha", "0.3", "--tol", "-1"),
     ], ids=["empty-peer", "energy-over-cap", "sweep-over-cap", "classify-over-cap",
             "sweep-grid-above-1", "verify-grid-above-1", "grid-over-point-cap",
-            "line-over-iteration-cap", "family-of-5000-digits", "op-on-family-of-5000-digits"])
+            "line-over-iteration-cap", "family-of-5000-digits", "op-on-family-of-5000-digits",
+            "verify-tol-nan", "verify-tol-inf", "verify-tol-negative", "verify-tol-not-a-number",
+            "classify-tol-nan", "classify-tol-inf", "classify-tol-negative"])
     def test_usage_error(self, capsys, argv):
         rc, out, err = run(capsys, *argv)
         assert rc == 2

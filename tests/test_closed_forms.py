@@ -4,19 +4,23 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
-from alphaenergy import (CLOSED_FORM_OPS, COEFF_TABLES, AlphaValue,
-                         RegularBase, alpha, alpha_energy, alpha_spectrum,
-                         cf_central_spectrum, cf_ebd_spectrum,
-                         cf_middle_spectrum, cf_remark_energies,
-                         cf_splitting_spectrum, closed_splitting_graph,
+from alphaenergy import (CLOSED_FORMS, AlphaValue, RegularBase, alpha,
+                         alpha_energy, alpha_spectrum, cf_central_spectrum,
+                         cf_closed_shadow_spectrum, cf_closed_splitting_spectrum,
+                         cf_ebd_spectrum, cf_middle_spectrum,
+                         cf_remark_energies, cf_splitting_spectrum,
+                         closed_form_identity, closed_splitting_graph,
                          complete, complete_bipartite, cycle, duplicate_graph,
-                         iterated_line_graph, multiset_deviation, path,
-                         petersen, shadow_graph, splitting_graph,
+                         iterated_line_graph, multiset_deviation, parse_op,
+                         path, petersen, shadow_graph, splitting_graph,
                          verify_closed_form)
+from alphaenergy import closed_forms, spectra
 from alphaenergy.cli import main
+from alphaenergy.closed_forms import CLOSED_FORM_INSTANCES
 from conftest import printed_splitting_spectrum
 
 SQ2 = math.sqrt(2.0)
@@ -194,10 +198,102 @@ class TestVerification:
             verify_closed_form("ebd", cycle(5), alpha("0.3"),
                                coeffs={"bogus": 1.0})
 
-    def test_coefficient_tables_cover_all_ops(self):
-        assert set(COEFF_TABLES) == set(CLOSED_FORM_OPS)
-        assert "line" not in CLOSED_FORM_OPS
-        assert "duplicate" not in CLOSED_FORM_OPS
+    def test_registry_is_the_checked_instances(self):
+        assert set(CLOSED_FORMS) == {parse_op(t).name for t in CLOSED_FORM_INSTANCES}
+        for op in ("shadow:2", "duplicate:1", "line:1"):
+            with pytest.raises(ValueError, match="no closed form"):
+                verify_closed_form(op, complete(4), alpha("0"))
+
+    @pytest.mark.parametrize("op_text", CLOSED_FORM_INSTANCES)
+    def test_private_dispatch_name_matches_public_callers(self, op_text):
+        # perfbench's verify check calls the registry by its former private name
+        public = {"middle": cf_middle_spectrum, "central": cf_central_spectrum,
+                  "closed-splitting": cf_closed_splitting_spectrum,
+                  "closed-shadow": cf_closed_shadow_spectrum, "ebd": cf_ebd_spectrum}
+        op, a = parse_op(op_text), alpha("0.3")
+        for g in (cycle(5), complete(4), petersen()):
+            b = RegularBase.from_graph(g)
+            got = closed_forms._CF_DISPATCH[op.name](b, op.param, a, None)
+            want = (cf_splitting_spectrum(b, op.param, a) if op.name == "splitting"
+                    else public[op.name](b, a))
+            assert got == want
+
+
+# Bases where some 2x2 block has y = 0: lambda = -r for middle and central
+# (C4, C6, K3,3), lambda = -1 for ebd and closed splitting (C6, K4),
+# lambda = 0 for splitting (C4, K3,3), and every block at alpha = 1.
+Y_ZERO_BASES = [("C4", cycle(4)), ("C6", cycle(6)), ("K4", complete(4)),
+                ("K3,3", complete_bipartite(3, 3)), ("petersen", petersen())]
+
+
+def test_float_route_where_y_is_zero():
+    # sqrt of y**2 expanded in powers of lambda magnifies a 1e-16 residue to
+    # 1e-8 where y is zero; the float route forms l(lambda) first instead
+    worst, records = 0.0, 0
+    for op_text in CLOSED_FORM_INSTANCES:
+        for label, g in Y_ZERO_BASES:
+            for t in (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1):
+                rec = verify_closed_form(op_text, g, AlphaValue.from_fraction(t),
+                                         exact=False, base_id=label)
+                worst = max(worst, rec.numeric_dev)
+                records += 1
+    assert records == 200
+    assert worst <= 1e-12
+
+
+def _counted_eigensolves(monkeypatch) -> list[int]:
+    calls: list[int] = []
+    for module in (spectra, closed_forms):
+        solve = module.sym_eigenvalues
+        monkeypatch.setattr(module, "sym_eigenvalues",
+                            lambda m, solve=solve: calls.append(1) or solve(m))
+    return calls
+
+
+class TestIdentity:
+    """closed_form_identity: the block against the exact charpoly."""
+
+    def test_every_corruption_fails(self):
+        # criterion 7's probes, bases and weights, checked exactly
+        probes = {"middle": "middle", "central": "central",
+                  "splitting": "splitting:2", "closed-splitting": "closed-splitting",
+                  "closed-shadow": "closed-shadow", "ebd": "ebd"}
+        bases = [cycle(4), cycle(5), complete(4), complete_bipartite(3, 3), petersen()]
+        grid = [alpha(t) for t in ("0", "0.25", "0.5", "0.75")]
+        undetected, checked = [], 0
+        for name, op_text in probes.items():
+            for coeff, default in CLOSED_FORMS[name].coeffs.items():
+                checked += 1
+                tweak = {coeff: default + 1e-3}
+                if all(closed_form_identity(op_text, g, a, coeffs=tweak)
+                       for g in bases for a in grid):
+                    undetected.append(f"{op_text} {coeff}")
+        assert checked == 23
+        assert not undetected
+
+    def test_makes_no_eigensolve(self, monkeypatch):
+        calls = _counted_eigensolves(monkeypatch)
+        for op_text in CLOSED_FORM_INSTANCES:
+            assert closed_form_identity(op_text, complete(4), alpha("0.25"))
+        assert calls == []
+        verify_closed_form("ebd", complete(4), alpha("0.25"))   # the count works
+        assert calls
+
+    def test_irrational_alpha_raises(self):
+        with pytest.raises(ValueError, match="rational alpha"):
+            closed_form_identity("ebd", cycle(4), AlphaValue(numeric=1 / math.sqrt(3)))
+
+    def test_irregular_base_raises(self):
+        with pytest.raises(ValueError, match="regular"):
+            closed_form_identity("ebd", path(4), alpha("0.5"))
+
+    def test_preconditions_and_unknown_ops_raise(self):
+        with pytest.raises(ValueError, match="r >= 2"):
+            closed_form_identity("middle", complete(2), alpha("0"))
+        with pytest.raises(ValueError, match="connected"):
+            closed_form_identity("central", duplicate_graph(cycle(4), 1), alpha("0"))
+        with pytest.raises(ValueError, match="no closed form"):
+            closed_form_identity("line:2", complete(4), alpha("0"))
 
 
 # Weights where a closed form's 2x2 block has a double root, by operation
