@@ -2,12 +2,13 @@
 
 Two independent routes to a spectrum live here on purpose:
 
-* ``sym_eigenvalues`` is a cyclic-by-row Jacobi iteration in float64.
+* ``sym_eigenvalues`` is a threshold cyclic-by-row Jacobi iteration in
+  float64.
 * ``charpoly_exact`` + ``poly_roots_real`` go through exact arithmetic
-  (Hessenberg reduction mod 31-bit primes with a CRT lift past a Hadamard
-  bound, then Yun square-free splitting, Sturm isolation from the smaller
-  of Cauchy's and Fujiwara's root bounds and quadratic interval
-  refinement at dyadic points m / 2**e in Python integers) and
+  (Hessenberg reduction mod primes below 2**28 with a CRT lift past a
+  Hadamard bound, then Yun square-free splitting, Sturm isolation from
+  the smaller of Cauchy's and Fujiwara's root bounds and quadratic
+  interval refinement at dyadic points m / 2**e in Python integers) and
   touch floating point only when each refined root is rounded to a float.
 
 Keep them independent; tests compare one against the other.
@@ -28,6 +29,9 @@ CHARPOLY_MAX_N = 64
 _PRIME_BATCH = 16        # primes reduced together in one int64 stack
 JACOBI_REL_TOL = 1e-12   # off-diagonal Frobenius target, relative to ||M||_F
 JACOBI_MAX_SWEEPS = 100
+# the first JACOBI_THRESHOLD_SWEEPS sweeps skip |a_ij| <= JACOBI_THRESHOLD * offnorm / n
+JACOBI_THRESHOLD = 0.2
+JACOBI_THRESHOLD_SWEEPS = 3
 GROUP_TOL = 1e-7         # eigenvalue clustering width for multiplicities
 
 
@@ -120,14 +124,20 @@ def _jacobi(a0: np.ndarray) -> np.ndarray:
         return float(np.linalg.norm(off))
 
     converged = False
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if offnorm() <= target:
+    for sweep in range(JACOBI_MAX_SWEEPS):
+        off = offnorm()
+        if off <= target:
             converged = True
             break
+        # Rutishauser's threshold: the first sweeps leave small elements,
+        # which the rotations of the large ones change anyway
+        thresh = skip
+        if sweep < JACOBI_THRESHOLD_SWEEPS:
+            thresh = max(skip, JACOBI_THRESHOLD * off / n)
         for i in range(n - 1):
             for j in range(i + 1, n):
                 aij = a[i, j]
-                if abs(aij) <= skip:
+                if abs(aij) <= thresh:
                     continue
                 app, aqq = a[i, i], a[j, j]
                 theta = (aqq - app) / (2.0 * aij)
@@ -179,7 +189,7 @@ class RationalPoly:
         return len(self.coefficients) - 1
 
 
-def _is_prime_31(m: int) -> bool:
+def _is_prime(m: int) -> bool:
     """Miller-Rabin with bases 2, 3, 5, 7: exact for odd 7 < m < 3.2e9."""
     d, s = m - 1, 0
     while d % 2 == 0:
@@ -200,10 +210,15 @@ def _is_prime_31(m: int) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def _primes(count: int) -> tuple[int, ...]:
-    """The ``count`` largest primes below 2**31, in descending order."""
-    out, m = [], 2 ** 31 - 1
+    """The ``count`` largest primes below 2**28, in descending order.
+
+    Below 2**28, a sum of ``CHARPOLY_MAX_N`` products of two residues plus
+    one residue stays below 2**63, so ``_charpoly_mod`` reduces each sum
+    once, not each product.
+    """
+    out, m = [], 2 ** 28 - 1
     while len(out) < count:
-        if _is_prime_31(m):
+        if _is_prime(m):
             out.append(m)
         m -= 2
     return tuple(out)
@@ -213,9 +228,11 @@ def _charpoly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Characteristic polynomials of a stack of matrices, one prime each.
 
     ``h`` is a (k, n, n) int64 array of residues mod the k primes in
-    ``p`` (each below 2**31); it is overwritten.  Returns the (k, n + 1)
-    ascending coefficient residues.  Every product of two residues is
-    below 2**62 and is reduced before it is summed, so nothing overflows.
+    ``p`` (each below 2**28); it is overwritten.  Returns the (k, n + 1)
+    ascending coefficient residues.  Each row sum of the Hessenberg step
+    and each sum of the recurrence adds at most n <= ``CHARPOLY_MAX_N``
+    products of two residues to one residue, so it stays below 2**63 and
+    is reduced once.
     """
     k, n, _ = h.shape
     p2, p3 = p[:, None], p[:, None, None]
@@ -235,21 +252,21 @@ def _charpoly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
         inv = [pow(t, -1, q) if t else 0 for t, q in zip(pivots, primes)]
         u = h[:, r + 1:, c] * np.array(inv, dtype=np.int64)[:, None] % p2
         h[:, r + 1:, c:] = (h[:, r + 1:, c:] - u[:, :, None] * h[:, r:r + 1, c:]) % p3
-        h[:, :, r] = ((h[:, :, r + 1:] * u[:, None, :] % p3).sum(axis=2) + h[:, :, r]) % p2
+        h[:, :, r] = (np.matmul(h[:, :, r + 1:], u[:, :, None])[:, :, 0] + h[:, :, r]) % p2
     # p_m = (x - h_mm) p_(m-1) - sum_i h_im (h_(i+1,i) ... h_(m,m-1)) p_(i-1)
     polys = np.zeros((k, n + 1, n + 1), dtype=np.int64)
     polys[:, 0, 0] = 1
     sub = np.zeros((k, n), dtype=np.int64)   # products of subdiagonal runs
     for j in range(n):
         prev, cur = polys[:, j], polys[:, j + 1]
-        cur[:, 1:] = prev[:, :-1]
-        cur -= h[:, j, j, None] * prev % p2
+        acc = h[:, j, j, None] * prev
         if j:
             sub[:, j - 1] = 1
             sub[:, :j] = sub[:, :j] * h[:, j, j - 1, None] % p2
             t = h[:, :j, j] * sub[:, :j] % p2
-            cur -= (t[:, :, None] * polys[:, :j] % p3).sum(axis=1)
-        cur %= p2
+            acc += np.matmul(t[:, None, :], polys[:, :j])[:, 0]
+        cur[:, 1:] = prev[:, :-1]
+        cur[:] = (cur - acc) % p2
     return polys[:, n]
 
 
@@ -257,8 +274,8 @@ def charpoly_exact(mat: Sequence[Sequence[Fraction | int]]) -> RationalPoly:
     """det(xI - M) with exact rational coefficients.
 
     M is scaled by the lcm s of its denominators to an integer matrix N.
-    The charpoly of N is computed mod 31-bit primes, counting down from
-    2**31 - 1, by reduction to Hessenberg form, and the residues are
+    The charpoly of N is computed mod primes below 2**28, counting down
+    from 2**28 - 1, by reduction to Hessenberg form, and the residues are
     combined by CRT.  Each coefficient of det(xI - N) is a signed sum of
     at most 2**n principal minors, each bounded by Hadamard's inequality,
     so its size is at most B = 2**n * prod_i max(1, ceil(||N_i||_2)) over
@@ -284,14 +301,17 @@ def charpoly_exact(mat: Sequence[Sequence[Fraction | int]]) -> RationalPoly:
     for row in nmat:
         sq = sum(x * x for x in row)
         bound *= math.isqrt(sq - 1) + 1 if sq else 1
-    primes = _primes(-(-(2 * bound).bit_length() // 30))   # each exceeds 2**30
+    primes = _primes(-(-(2 * bound).bit_length() // 27))   # each exceeds 2**27
     modulus = math.prod(primes)
+    try:
+        big = np.array(nmat, dtype=np.int64)
+    except OverflowError:   # an entry needs more than 64 bits: reduce Python ints
+        big = np.array(nmat, dtype=object)
     residues = []
     for lo in range(0, len(primes), _PRIME_BATCH):
-        chunk = primes[lo:lo + _PRIME_BATCH]
-        h = np.array([[[x % q for x in row] for row in nmat] for q in chunk],
-                     dtype=np.int64)
-        residues.extend(_charpoly_mod(h, np.array(chunk, dtype=np.int64)).tolist())
+        chunk = np.array(primes[lo:lo + _PRIME_BATCH], dtype=np.int64)
+        h = (big % chunk[:, None, None]).astype(np.int64, copy=False)
+        residues.extend(_charpoly_mod(h, chunk).tolist())
     weights = [modulus // q * pow(modulus // q, -1, q) for q in primes]
     coeffs = []
     for j in range(n + 1):

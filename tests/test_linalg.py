@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from alphaenergy import (RationalPoly, Spectrum, SymMatrix, a_alpha_exact,
                          adjacency_matrix, alpha, charpoly_exact, complete,
                          complete_bipartite, cycle, make_spectrum,
-                         multiset_deviation, petersen, poly_roots_real,
+                         multiset_deviation, path, petersen, poly_roots_real,
                          sym_eigenvalues)
 from alphaenergy import linalg
 from alphaenergy.linalg import _div_exact, _nonroot_point, _yun_squarefree
@@ -92,6 +93,45 @@ class TestJacobi:
             sym_eigenvalues(np.zeros((0, 0)))
 
 
+def _assert_near_lapack(a: np.ndarray) -> None:
+    """Within 1e-12 * ||A||_F of LAPACK; a solve that does not converge in
+    JACOBI_MAX_SWEEPS raises."""
+    got = np.sort(linalg._jacobi(a))
+    assert np.abs(got - np.linalg.eigvalsh(a)).max() <= 1e-12 * np.linalg.norm(a)
+
+
+class TestThresholdJacobi:
+    @pytest.mark.parametrize("g", [complete(12), cycle(31), path(40)], ids=["K12", "C31", "P40"])
+    def test_families(self, g):
+        _assert_near_lapack(adjacency_matrix(g))
+
+    def test_equal_blocks(self):
+        block = _sym_random(random.Random(3), 8)
+        _assert_near_lapack(np.kron(np.eye(4), block))
+
+    def test_clustered_spectrum(self):
+        s = _sym_random(random.Random(4), 30, span=1.0)
+        _assert_near_lapack(np.eye(30) + 1e-9 * s)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random(self, seed):
+        _assert_near_lapack(_sym_random(random.Random(100 + seed), 5 * seed + 1))   # n = 1..96
+
+    def test_threshold_saves_rotations(self, monkeypatch):
+        a = _sym_random(random.Random(5), 32)
+
+        def rotations(threshold_sweeps: int) -> int:
+            # each rotation takes two square roots
+            calls = []
+            monkeypatch.setattr(linalg, "JACOBI_THRESHOLD_SWEEPS", threshold_sweeps)
+            monkeypatch.setattr(linalg, "math", SimpleNamespace(
+                sqrt=lambda x: calls.append(x) or math.sqrt(x)))
+            linalg._jacobi(a)
+            return len(calls) // 2
+
+        assert rotations(3) < 0.95 * rotations(0)
+
+
 class TestCharpoly:
     def test_k2(self):
         pl = charpoly_exact([[0, 1], [1, 0]])
@@ -139,6 +179,19 @@ class TestCharpoly:
         big = [[int(i == j) for j in range(65)] for i in range(65)]
         with pytest.raises(ValueError, match="cap"):
             charpoly_exact(big)
+
+    def test_entries_past_int64(self):
+        # the residues are taken in Python integers when int64 cannot hold N
+        a, b = 2 ** 64 + 1, -(2 ** 70)
+        pl = charpoly_exact([[a, 3], [3, b]])
+        assert pl.coefficients == (a * b - 9, -(a + b), 1)
+        _assert_is_charpoly([[2 ** 63, 1, 0], [-1, 0, 2 ** 80], [5, -(2 ** 63) - 1, 7]])
+
+    def test_sums_fit_int64(self):
+        # _charpoly_mod reduces a sum of CHARPOLY_MAX_N products plus one residue once
+        q = max(linalg._primes(1))
+        assert q < 2 ** 28
+        assert linalg.CHARPOLY_MAX_N * q ** 2 + q < 2 ** 63
 
 
 def _det(rows: list[list[Fraction]]) -> Fraction:
