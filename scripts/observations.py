@@ -9,14 +9,29 @@ import argparse
 import sys
 
 from alphaenergy.analysis import observations_report
+from alphaenergy.cli import UsageError, _tolerance
+
+
+def failure_count(text: str) -> int:
+    """A --max-failures value, an integer >= 0."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise UsageError(f"--max-failures must be an integer >= 0, got {text!r}")
+    return count
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--tol", type=float, default=1e-6)
-    ap.add_argument("--max-failures", type=int, default=5,
+    ap.add_argument("--tol", type=_tolerance, default=1e-6)
+    ap.add_argument("--max-failures", type=failure_count, default=5,
                     help="failure lines to print per bullet")
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except UsageError as e:
+        ap.error(str(e))
 
     report = observations_report(tol=args.tol)
     for b in report.bullets:

@@ -15,6 +15,7 @@ import argparse
 import sys
 from fractions import Fraction
 
+from alphaenergy.cli import UsageError, _tolerance
 from alphaenergy.closed_forms import (CLOSED_FORM_INSTANCES, closed_form_identity,
                                       verify_closed_form)
 from alphaenergy.graphs import complete, complete_bipartite, cycle, petersen
@@ -61,10 +62,13 @@ def grid_step(text: str) -> Fraction:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--tol", type=float, default=1e-8)
+    ap.add_argument("--tol", type=_tolerance, default=1e-8)
     ap.add_argument("--step", type=grid_step, default="1/4",
                     help="weight grid step, a fraction in (0, 1]")
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except UsageError as e:
+        ap.error(str(e))
 
     grid = alpha_grid(args.step)
     failures = 0

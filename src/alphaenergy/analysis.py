@@ -8,6 +8,7 @@ exceeds it.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
@@ -105,10 +106,10 @@ def table1_rows() -> list[tuple[str, Graph]]:
     return rows
 
 
-def table1(alphas: Optional[Sequence[AlphaValue]] = None) -> SweepTable:
+def table1() -> SweepTable:
     """Headline energy sweep: splitting/closed-splitting/closed-shadow/ebd/
     shadow/duplicate of C4, C5, C6 and K3,3 next to matching complete graphs."""
-    return sweep_table(table1_rows(), tuple(alphas) if alphas else tenth_grid())
+    return sweep_table(table1_rows(), tenth_grid())
 
 
 def _fmt4(x: float) -> str:
@@ -172,86 +173,78 @@ class ObservationsReport:
 
 def observations_report(tol: float = DEFAULT_TOL) -> ObservationsReport:
     """Check the headline equienergetic/borderenergetic/hyperenergetic claims
-    over the 0.0..0.9 weight grid."""
+    over the 0.0..0.9 weight grid, on table1's rows and the closed shadows of
+    K_{p,p}.  Each graph is solved once, and only if a bullet reads it; the
+    splitting rows only at the weights >= 0.3 that their bullet reads."""
     grid = tenth_grid()
-    bases = [("C4", cycle(4)), ("C5", cycle(5)), ("C6", cycle(6)),
-             ("K3,3", complete_bipartite(3, 3))]
+    upper = tuple(a for a in grid if a.numeric >= 0.3)
+    bases = ("C4", "C5", "C6", "K3,3")
+    graphs = dict(table1_rows())
+    graphs.update((f"D2[K{p},{p}]", closed_shadow_graph(complete_bipartite(p, p)))
+                  for p in (2, 4, 5))
+
+    @functools.cache
+    def energies(label: str) -> tuple[float, ...]:
+        return alpha_energies(graphs[label], upper if label.startswith("Spl(") else grid)
+
     bullets: list[BulletResult] = []
 
+    def bullet(key: str, description: str, fails: list[str]) -> None:
+        bullets.append(BulletResult(key=key, description=description,
+                                    passed=not fails, failures=tuple(fails)))
+
     fails: list[str] = []
-    for label, g in bases:
-        d2 = alpha_energies(shadow_graph(g, 2), grid)
-        dup = alpha_energies(duplicate_graph(g, 1), grid)
-        for a, e1, e2 in zip(grid, d2, dup):
+    for label in bases:
+        for a, e1, e2 in zip(grid, energies(f"D2({label})"), energies(f"D({label})")):
             gap = abs(e1 - e2)
             if gap > tol:
                 fails.append(f"{label} alpha={a.numeric}: gap {gap:.3e}")
-    bullets.append(BulletResult(
-        key="shadow2-equals-duplicate",
-        description="two-fold shadow and duplicate are equienergetic for every weight",
-        passed=not fails, failures=tuple(fails)))
+    bullet("shadow2-equals-duplicate",
+           "two-fold shadow and duplicate are equienergetic for every weight", fails)
 
     fails = []
-    d2c4 = alpha_energies(closed_shadow_graph(cycle(4)), grid)
-    for a, e in zip(grid, d2c4):
+    for a, e in zip(grid, energies("D2[C4]")):
         gap = abs(e - reference_energy(8, a))
         if gap > tol:
             fails.append(f"alpha={a.numeric}: gap {gap:.3e}")
-    bullets.append(BulletResult(
-        key="closed-shadow-c4-borderenergetic",
-        description="closed shadow of C4 matches the K8 energy for every weight",
-        passed=not fails, failures=tuple(fails)))
+    bullet("closed-shadow-c4-borderenergetic",
+           "closed shadow of C4 matches the K8 energy for every weight", fails)
 
     fails = []
-    d2c6 = alpha_energies(closed_shadow_graph(cycle(6)), grid)
-    d2k33 = alpha_energies(closed_shadow_graph(complete_bipartite(3, 3)), grid)
-    for a, e1, e2 in zip(grid, d2c6, d2k33):
+    for a, e1, e2 in zip(grid, energies("D2[C6]"), energies("D2[K3,3]")):
         ref = reference_energy(12, a)
         if abs(e1 - e2) > tol:
             fails.append(f"alpha={a.numeric}: pair gap {abs(e1 - e2):.3e}")
         if abs(e1 - ref) > tol or abs(e2 - ref) > tol:
             fails.append(f"alpha={a.numeric}: reference gap")
-    bullets.append(BulletResult(
-        key="closed-shadow-c6-k33",
-        description="closed shadows of C6 and K3,3 are equienergetic and both match K12",
-        passed=not fails, failures=tuple(fails)))
+    bullet("closed-shadow-c6-k33",
+           "closed shadows of C6 and K3,3 are equienergetic and both match K12", fails)
 
     fails = []
-    ebd_c6 = alpha_energies(ebd_graph(cycle(6)), grid)
-    d2_c6 = alpha_energies(shadow_graph(cycle(6), 2), grid)
-    dup_c6 = alpha_energies(duplicate_graph(cycle(6), 1), grid)
-    for a, e, e2, e3 in zip(grid, ebd_c6, d2_c6, dup_c6):
+    for a, e, e2, e3 in zip(grid, energies("Ebd(C6)"), energies("D2(C6)"), energies("D(C6)")):
         if abs(e - e2) > tol or abs(e - e3) > tol:
             fails.append(f"alpha={a.numeric}")
-    bullets.append(BulletResult(
-        key="ebd-c6-equienergetic",
-        description="extended bipartite double of C6 matches shadow and duplicate of C6",
-        passed=not fails, failures=tuple(fails)))
+    bullet("ebd-c6-equienergetic",
+           "extended bipartite double of C6 matches shadow and duplicate of C6", fails)
 
     fails = []
     for p in range(2, 6):
-        d2kpp = alpha_energies(closed_shadow_graph(complete_bipartite(p, p)), grid)
-        for a, e in zip(grid, d2kpp):
+        for a, e in zip(grid, energies(f"D2[K{p},{p}]")):
             gap = abs(e - reference_energy(4 * p, a))
             if gap > tol:
                 fails.append(f"p={p} alpha={a.numeric}: gap {gap:.3e}")
-    bullets.append(BulletResult(
-        key="closed-shadow-kpp-borderenergetic",
-        description="closed shadow of K_{p,p} matches the K_{4p} energy (p=2..5)",
-        passed=not fails, failures=tuple(fails)))
+    bullet("closed-shadow-kpp-borderenergetic",
+           "closed shadow of K_{p,p} matches the K_{4p} energy (p=2..5)", fails)
 
     fails = []
-    upper = [a for a in grid if a.numeric >= 0.3]
-    for label, g in bases:
-        spl = splitting_graph(g, 1)
-        for a, e in zip(upper, alpha_energies(spl, upper)):
-            ref = reference_energy(spl.p, a)
+    for label in bases:
+        spl = f"Spl({label})"
+        for a, e in zip(upper, energies(spl)):
+            ref = reference_energy(graphs[spl].p, a)
             if not e > ref + tol:
-                fails.append(f"Spl({label}) alpha={a.numeric}: "
+                fails.append(f"{spl} alpha={a.numeric}: "
                              f"energy {e:.4f} <= reference {ref:.4f}")
-    bullets.append(BulletResult(
-        key="splitting-hyperenergetic",
-        description="one-fold splitting is hyperenergetic for weights >= 0.3",
-        passed=not fails, failures=tuple(fails)))
+    bullet("splitting-hyperenergetic",
+           "one-fold splitting is hyperenergetic for weights >= 0.3", fails)
 
     return ObservationsReport(tol=tol, bullets=tuple(bullets))

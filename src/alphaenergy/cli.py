@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -45,6 +46,15 @@ class UsageError(Exception):
     pass
 
 
+@contextlib.contextmanager
+def _usage(prefix: str = ""):
+    """Turn a ValueError raised inside the block into a UsageError."""
+    try:
+        yield
+    except ValueError as e:
+        raise UsageError(f"{prefix}{e}") from None
+
+
 _FAMILY_RE = re.compile(r"^(C|P|K)(\d+)(?:,(\d+))?$")
 
 
@@ -59,11 +69,9 @@ def _family(text: str) -> Optional[tuple[Callable[[], Graph], tuple[int, int, in
     kind = m.group(1)
     if m.group(3) is not None and kind != "K":
         raise UsageError(f"cannot parse graph source {text!r}")
-    try:        # int() refuses over 4300 digits
+    with _usage():      # int() refuses over 4300 digits
         args = tuple(int(x) for x in m.group(2, 3) if x is not None)
         counts = family_size(kind, *args)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
     build = complete_bipartite if len(args) == 2 else {"C": cycle, "P": path, "K": complete}[kind]
     return functools.partial(build, *args), counts
 
@@ -72,13 +80,11 @@ def _operated(op: OpDescriptor, source: str) -> tuple[str, Graph]:
     """The source's label and ``op`` applied to its graph.  Over a family the
     operation is sized from the family's counts before the family is built."""
     family = _family(source)
-    try:
+    with _usage():
         if family is not None:
             OPS[op.name].check_counts(*family[1], *(() if op.param is None else (op.param,)))
         label, g = (source, family[0]()) if family else parse_graph_source(source)
         return label, apply_op(op, g)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
 
 
 def parse_graph_source(text: str) -> tuple[str, Graph]:
@@ -87,15 +93,11 @@ def parse_graph_source(text: str) -> tuple[str, Graph]:
         p = Path(text[5:])
         if not p.is_file():
             raise UsageError(f"no such file: {p}")
-        try:
+        with _usage(f"bad edge list in {p}: "):  # EdgeListError, or a header over a cap
             return text, read_edge_list(p.read_bytes())
-        except ValueError as e:     # EdgeListError, or a header over a cap
-            raise UsageError(f"bad edge list in {p}: {e}") from None
     if text.startswith("op:"):
-        try:
+        with _usage():
             op, rest = split_op(text[3:])
-        except ValueError as e:
-            raise UsageError(str(e)) from None
         if not rest:
             raise UsageError(f"operation source needs 'op:<operation>:<source>', got {text!r}")
         label, g = _operated(op, rest)
@@ -106,11 +108,21 @@ def parse_graph_source(text: str) -> tuple[str, Graph]:
     return text, family[0]()
 
 
-def _parse_alpha(text: str) -> AlphaValue:
-    try:
+def _operation(text: str) -> OpDescriptor:
+    with _usage():
+        return parse_op(text)
+
+
+def _closed_form_op(text: str) -> OpDescriptor:
+    op = _operation(text)
+    if op.name not in CLOSED_FORMS:
+        raise UsageError(f"no closed form for operation {text!r}")
+    return op
+
+
+def _alpha(text: str) -> AlphaValue:
+    with _usage():
         return AlphaValue.parse(text)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
 
 
 def _parse_alpha_grid(text: str) -> list[AlphaValue]:
@@ -133,6 +145,17 @@ def _parse_alpha_grid(text: str) -> list[AlphaValue]:
     return [AlphaValue.from_fraction(lo + k * step) for k in range(count)]
 
 
+def _below_one(parse: Callable, what: str) -> Callable:
+    """The argparse type ``parse`` (a weight or a grid) that also refuses a
+    weight of 1 or more, as the energy commands (``what``) do."""
+    def checked(text: str):
+        value = parse(text)
+        if any(a.numeric >= 1.0 for a in (value if isinstance(value, list) else [value])):
+            raise UsageError(f"{what} needs alpha < 1")
+        return value
+    return checked
+
+
 def _tolerance(text: str) -> float:
     """A --tol value, finite and >= 0: a NaN tolerance fails every check and
     an infinite one passes every check."""
@@ -145,33 +168,32 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _measurable(label: str, g: Graph) -> None:
+def _measurable(label: str, g: Graph) -> tuple[str, Graph]:
     """Reject, before any work, a graph the numeric eigensolver cannot take."""
     if not 1 <= g.p <= SYM_EIG_MAX_N:
         raise UsageError(f"{label} has {g.p} vertices; numeric commands "
                          f"need 1..{SYM_EIG_MAX_N}")
+    return label, g
+
+
+def _numeric_source(text: str) -> tuple[str, Graph]:
+    """A source for a numeric command: parsed, built and measurable."""
+    return _measurable(*parse_graph_source(text))
 
 
 def _cmd_gen(args) -> int:
-    _, g = parse_graph_source(args.source)
-    sys.stdout.write(write_edge_list(g).decode("ascii"))
+    sys.stdout.write(write_edge_list(args.source[1]).decode("ascii"))
     return 0
 
 
 def _cmd_op(args) -> int:
-    try:
-        op = parse_op(args.operation)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    _, out = _operated(op, args.source)
+    _, out = _operated(args.operation, args.source)
     sys.stdout.write(write_edge_list(out).decode("ascii"))
     return 0
 
 
 def _cmd_spectrum(args) -> int:
-    label, g = parse_graph_source(args.source)
-    _measurable(label, g)
-    a = _parse_alpha(args.alpha)
+    (_, g), a = args.source, args.alpha
     if args.exact:
         if a.exact is None:
             raise UsageError("--exact needs a rational alpha")
@@ -188,68 +210,41 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    label, g = parse_graph_source(args.source)
-    a = _parse_alpha(args.alpha)
-    if a.numeric >= 1.0:
-        raise UsageError("energy needs alpha < 1")
-    _measurable(label, g)
+    label, g = args.source
     if args.json:
-        rep = alpha_energy(g, a, graph_id=label)
+        rep = alpha_energy(g, args.alpha, graph_id=label)
         sys.stdout.write(energy_report_json(rep, degree_info(g).regular))
     else:
-        print(round(alpha_energy(g, a).energy, 6))
+        print(round(alpha_energy(g, args.alpha).energy, 6))
+    return 0
+
+
+def _write_table(table, fmt: str) -> int:
+    sys.stdout.write(format_csv(table) if fmt == "csv" else format_table_json(table))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    rows = [parse_graph_source(s) for s in args.sources]
-    for label, g in rows:
-        _measurable(label, g)
-    alphas = _parse_alpha_grid(args.alphas)
-    if any(a.numeric >= 1.0 for a in alphas):
-        raise UsageError("energy sweep needs alpha < 1")
-    table = sweep_table(rows, alphas)
-    sys.stdout.write(format_csv(table) if args.format == "csv"
-                     else format_table_json(table))
-    return 0
+    return _write_table(sweep_table(args.sources, args.alphas), args.format)
 
 
 def _cmd_verify(args) -> int:
-    try:
-        op = parse_op(args.operation)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    if op.name not in CLOSED_FORMS:
-        raise UsageError(f"no closed form for operation {args.operation!r}")
-    label, g = parse_graph_source(args.source)
-    _measurable(label, g)
-    alphas = _parse_alpha_grid(args.alphas)
-    try:
+    op, (label, g) = args.operation, args.source
+    with _usage():
         operated = apply_op(op, g)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
     _measurable(f"op:{op_label(op)}:{label}", operated)
     ok = True
-    for a in alphas:
-        try:
+    for a in args.alphas:
+        with _usage():
             rec = verify_closed_form(op, g, a, tol=args.tol, base_id=label)
-        except ValueError as e:
-            raise UsageError(str(e)) from None
         print(json.dumps(rec.to_json_dict()))
         ok = ok and rec.passed
     return 0 if ok else 1
 
 
 def _cmd_classify(args) -> int:
-    label, g = parse_graph_source(args.source)
-    _measurable(label, g)
-    a = _parse_alpha(args.alpha)
-    if a.numeric >= 1.0:
-        raise UsageError("classification needs alpha < 1")
-    peers = [parse_graph_source(s) for s in args.peers]
-    for peer in peers:
-        _measurable(*peer)
-    res = classify(g, a, peers=peers, tol=args.tol, graph_id=label)
+    label, g = args.source
+    res = classify(g, args.alpha, peers=args.peers, tol=args.tol, graph_id=label)
     print(json.dumps({
         "graph": res.graph_id, "alpha": res.alpha, "energy": res.energy,
         "reference": res.reference, "verdict": res.verdict,
@@ -258,10 +253,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    table = table1()
-    sys.stdout.write(format_csv(table) if args.format == "csv"
-                     else format_table_json(table))
-    return 0
+    return _write_table(table1(), args.format)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,44 +263,46 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="print a graph as an edge list")
-    p.add_argument("source")
+    p.add_argument("source", type=parse_graph_source)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("op", help="apply an operation and print the edge list")
-    p.add_argument("operation")
+    p.add_argument("operation", type=_operation)
     p.add_argument("source")
     p.set_defaults(func=_cmd_op)
 
     p = sub.add_parser("spectrum", help="print eigenvalues with multiplicities")
-    p.add_argument("source")
-    p.add_argument("--alpha", required=True)
+    p.add_argument("source", type=_numeric_source)
+    p.add_argument("--alpha", type=_alpha, required=True)
     p.add_argument("--exact", action="store_true",
                    help="use the rational characteristic polynomial route")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("energy", help="print the energy at one weight")
-    p.add_argument("source")
-    p.add_argument("--alpha", required=True)
+    p.add_argument("source", type=_numeric_source)
+    p.add_argument("--alpha", type=_below_one(_alpha, "energy"), required=True)
     p.add_argument("--json", action="store_true", help="full report as JSON")
     p.set_defaults(func=_cmd_energy)
 
     p = sub.add_parser("sweep", help="energy table over a weight grid")
-    p.add_argument("sources", nargs="+")
-    p.add_argument("--alphas", default="0:0.9:0.1", help="grid lo:hi:step")
+    p.add_argument("sources", type=_numeric_source, nargs="+")
+    p.add_argument("--alphas", type=_below_one(_parse_alpha_grid, "energy sweep"),
+                   default="0:0.9:0.1", help="grid lo:hi:step")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="closed form vs. numeric spectrum")
-    p.add_argument("operation")
-    p.add_argument("source")
-    p.add_argument("--alphas", default="0:0.75:0.25", help="grid lo:hi:step")
+    p.add_argument("operation", type=_closed_form_op)
+    p.add_argument("source", type=_numeric_source)
+    p.add_argument("--alphas", type=_parse_alpha_grid, default="0:0.75:0.25",
+                   help="grid lo:hi:step")
     p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("classify", help="borderenergetic/hyperenergetic verdict")
-    p.add_argument("source")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--peers", nargs="*", default=[])
+    p.add_argument("source", type=_numeric_source)
+    p.add_argument("--alpha", type=_below_one(_alpha, "classification"), required=True)
+    p.add_argument("--peers", type=_numeric_source, nargs="*", default=[])
     p.add_argument("--tol", type=_tolerance, default=1e-6)
     p.set_defaults(func=_cmd_classify)
 
@@ -325,7 +319,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as e:     # argparse's own usage errors, and --help
         return e.code if isinstance(e.code, int) else 2
-    except UsageError as e:     # from a command, or from an argument's type
+    except UsageError as e:     # from an argument's type, or from a command
         print(f"error: {e}", file=sys.stderr)
         return 2
 

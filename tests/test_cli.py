@@ -287,6 +287,36 @@ class TestUsageContract:
         assert rc == 2
         assert "2002 vertices" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "X5", "--alpha", "0.5"), ("spectrum", "--alpha", "0.5", "X5"),
+        ("spectrum", "C5", "--alpha", "abc"), ("spectrum", "--alpha", "abc", "C5"),
+        ("spectrum", "C5", "--alpha", "0.1234567", "--exact"),
+        ("spectrum", "op:shadow:7:petersen", "--alpha", "0.5", "--exact"),
+        ("energy", "P2001", "--alpha", "0.5"), ("energy", "--alpha", "0.5", "P2001"),
+        ("energy", "C5", "--alpha", "1"), ("energy", "--alpha", "1", "C5"),
+        ("sweep", "X5", "C5"), ("sweep", "C5", "op:line:2:P2"),
+        ("sweep", "--alphas", "0:1:0.5", "C5"), ("sweep", "C5", "--alphas", "0:1:0.5"),
+        ("verify", "ebd", "P2001"), ("verify", "frob", "C6"), ("verify", "line:2", "C6"),
+        ("verify", "--alphas", "a:b:c", "ebd", "C6"), ("verify", "ebd", "C6", "--alphas", "a:b:c"),
+        ("verify", "--tol", "nan", "ebd", "C6"), ("verify", "ebd", "C6", "--tol", "nan"),
+        ("verify", "ebd", "C1001"),
+        ("classify", "X5", "--alpha", "0.3"), ("classify", "--alpha", "0.3", "X5"),
+        ("classify", "C5", "--alpha", "1.5"), ("classify", "--alpha", "1.5", "C5"),
+        ("classify", "C5", "--alpha", "0.3", "--peers", "op:line:2:P2", "K8"),
+        ("classify", "C5", "--alpha", "0.3", "--peers", "K8", "op:line:2:P2"),
+        ("classify", "C5", "--alpha", "0.3", "--tol", "-1", "--peers", "K8"),
+        ("classify", "C5", "--alpha", "0.3", "--peers", "K8", "--tol", "-1"),
+    ], ids="-".join)
+    def test_no_work_before_every_input_is_checked(self, capsys, monkeypatch, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+        for name in ("alpha_spectrum", "alpha_energy", "sweep_table", "verify_closed_form",
+                     "classify", "charpoly_exact"):
+            monkeypatch.setattr(cli, name, no_work)
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_family_over_cap_rejected_before_building(self, capsys):
         rc, out, err = run(capsys, "gen", "C1000000")
         assert rc == 2

@@ -13,10 +13,18 @@ from alphaenergy.closed_forms import CLOSED_FORM_INSTANCES
 from alphaenergy.linalg import CHARPOLY_MAX_N
 from alphaenergy.ops import apply_op, parse_op
 
-_PATH = Path(__file__).resolve().parents[1] / "scripts" / "verify_closed_forms.py"
-_SPEC = importlib.util.spec_from_file_location("verify_closed_forms", _PATH)
-verify_script = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(verify_script)
+
+
+def _load(name: str):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+verify_script = _load("verify_closed_forms")
+observations_script = _load("observations")
 
 
 @pytest.mark.parametrize("text", ["0", "-1/4", "2", "x", "1/0"])
@@ -46,3 +54,30 @@ def test_verify_battery_passes(capsys):
             assert line.endswith(", " + verify_script.PROVED), line
             proved += 1
     assert proved and sum(x.endswith(verify_script.PROVED) for x in lines) == proved
+
+
+@pytest.mark.parametrize("script, argv, message", [
+    (observations_script, ["--tol", "nan"], "--tol must be a finite number >= 0"),
+    (observations_script, ["--tol=inf"], "--tol must be a finite number >= 0"),
+    (observations_script, ["--tol=-1e-6"], "--tol must be a finite number >= 0"),
+    (observations_script, ["--max-failures", "-9"], "--max-failures must be an integer >= 0"),
+    (observations_script, ["--max-failures", "2.5"], "--max-failures must be an integer >= 0"),
+    (verify_script, ["--step", "1", "--tol=inf"], "--tol must be a finite number >= 0"),
+    (verify_script, ["--tol", "nan"], "--tol must be a finite number >= 0"),
+    (verify_script, ["--tol=-1"], "--tol must be a finite number >= 0"),
+])
+def test_meaningless_flag_values_are_usage_errors(capsys, script, argv, message):
+    # a NaN tolerance passes every equality bullet, an infinite one every
+    # deviation, and a negative failure count prints a wrong remainder
+    with pytest.raises(SystemExit) as exc:
+        script.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err.splitlines()[-1]
+
+
+def test_observations_zero_failures_prints_only_counts(capsys):
+    assert observations_script.main(["--max-failures", "0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["       ... 11 more", "5/6 bullets hold at tol 1e-06"]
