@@ -47,11 +47,13 @@ def classify(g: Graph, a: AlphaValue,
     """Compare a graph's energy against K_n on the same order and against peers.
 
     Borderenergetic takes precedence over hyperenergetic when the energy
-    sits within tolerance of the reference.
+    sits within tolerance of the reference; K_n itself is neither.
     """
     rep = alpha_energy(g, a, graph_id=graph_id)
     ref = reference_energy(g.p, a)
-    if abs(rep.energy - ref) <= tol:
+    if g.q == g.p * (g.p - 1) // 2:
+        verdict = "neither"
+    elif abs(rep.energy - ref) <= tol:
         verdict = "borderenergetic"
     elif rep.energy > ref + tol:
         verdict = "hyperenergetic"

@@ -196,7 +196,8 @@ def _cmd_spectrum(args) -> int:
     (_, g), a = args.source, args.alpha
     if args.exact:
         if a.exact is None:
-            raise UsageError("--exact needs a rational alpha")
+            raise UsageError("--exact needs a rational alpha with denominator at most "
+                             "10^15 (up to 15 decimal places)")
         if g.p > CHARPOLY_MAX_N:
             raise UsageError(f"--exact supports at most {CHARPOLY_MAX_N} vertices")
         spec = make_spectrum(poly_roots_real(charpoly_exact(a_alpha_exact(g, a))))

@@ -1,12 +1,11 @@
 """Closed-form spectra for operations applied to regular graphs.
 
 ``CLOSED_FORMS`` declares each form once: its structural constants (the
-integers in the algebra, which ``coeffs`` may override one at a time so a
-negative control can corrupt one) and a block, per base eigenvalue, that
-both routes read.  ``ClosedForm.__call__`` evaluates it in floats over the
-base spectrum, and ``verify_closed_form`` compares that with the numeric
-eigensolver and, at a rational weight on a small enough graph, with roots
-of the exact characteristic polynomial.  ``closed_form_identity`` proves
+integers in the algebra) and a block, per base eigenvalue, that both
+routes read.  ``ClosedForm.__call__`` evaluates it in floats over the base
+spectrum, and ``verify_closed_form`` compares that with the numeric
+eigensolver and, at an exact weight on a small enough graph, with roots of
+the exact characteristic polynomial.  ``closed_form_identity`` proves
 the block exactly, from the base's adjacency matrix, with no eigenvalue.
 """
 
@@ -55,16 +54,6 @@ class RegularBase:
         return cls(g.p, g.q, r, tuple(spec), connected=components == 1)
 
 
-def _merge(defaults: Mapping[str, float], coeffs: Optional[Mapping[str, float]]) -> dict:
-    out = dict(defaults)
-    if coeffs:
-        unknown = set(coeffs) - set(out)
-        if unknown:
-            raise ValueError(f"unknown coefficients: {sorted(unknown)}")
-        out.update(coeffs)
-    return out
-
-
 def _pair(x: float, y: float, z: float) -> tuple[float, float]:
     """Eigenvalues of [[x, y], [y, z]]; no subtraction under the root."""
     mid, half = (x + z) / 2.0, math.hypot(x - z, 2.0 * y) / 2.0
@@ -93,10 +82,9 @@ class ClosedForm:
     block: Callable[..., Block]
     deviation: Optional[str] = None   # where the form departs from the paper
 
-    def __call__(self, b: RegularBase, m: Optional[int], a: AlphaValue,
-                 coeffs: Optional[Mapping[str, float]] = None) -> Spectrum:
+    def __call__(self, b: RegularBase, m: Optional[int], a: AlphaValue) -> Spectrum:
         """The float spectrum: ``_pair`` over the base spectrum."""
-        k = self.block(_merge(self.coeffs, coeffs), a.numeric, 1.0 - a.numeric, b, m)
+        k = self.block(self.coeffs, a.numeric, 1.0 - a.numeric, b, m)
         (x0, x1), (g2, l0, l1, e), (z0, z1) = k.x, k.y2, k.z
         vals = [k.rep] * k.count
         for i, lam in enumerate(b.base_spectrum):
@@ -184,22 +172,23 @@ CLOSED_FORMS: dict[str, ClosedForm] = {
                                 _closed_shadow),
     "ebd": ClosedForm({"deg_one": 1.0, "adj_one": 1.0}, _ebd),  # a*(r+1); (1-a)*(lambda+1)
 }
-_CF_DISPATCH = CLOSED_FORMS   # the former private name, still called by perfbench
+# The former private name, still called by perfbench as (base, m, weight, None).
+_CF_DISPATCH = {name: lambda b, m, a, _, n=name: CLOSED_FORMS[n](b, m, a) for name in CLOSED_FORMS}
 
 
-# The public names: (base, [m,] weight, coeffs) -> Spectrum.
-def cf_middle_spectrum(b, a, coeffs=None):
-    return CLOSED_FORMS["middle"](b, None, a, coeffs)
-def cf_central_spectrum(b, a, coeffs=None):
-    return CLOSED_FORMS["central"](b, None, a, coeffs)
-def cf_splitting_spectrum(b, m, a, coeffs=None):
-    return CLOSED_FORMS["splitting"](b, m, a, coeffs)
-def cf_closed_splitting_spectrum(b, a, coeffs=None):
-    return CLOSED_FORMS["closed-splitting"](b, None, a, coeffs)
-def cf_closed_shadow_spectrum(b, a, coeffs=None):
-    return CLOSED_FORMS["closed-shadow"](b, None, a, coeffs)
-def cf_ebd_spectrum(b, a, coeffs=None):
-    return CLOSED_FORMS["ebd"](b, None, a, coeffs)
+# The public names: (base, [m,] weight) -> Spectrum, from the registry entry alone.
+def cf_middle_spectrum(b, a):
+    return CLOSED_FORMS["middle"](b, None, a)
+def cf_central_spectrum(b, a):
+    return CLOSED_FORMS["central"](b, None, a)
+def cf_splitting_spectrum(b, m, a):
+    return CLOSED_FORMS["splitting"](b, m, a)
+def cf_closed_splitting_spectrum(b, a):
+    return CLOSED_FORMS["closed-splitting"](b, None, a)
+def cf_closed_shadow_spectrum(b, a):
+    return CLOSED_FORMS["closed-shadow"](b, None, a)
+def cf_ebd_spectrum(b, a):
+    return CLOSED_FORMS["ebd"](b, None, a)
 
 
 def cf_remark_energies(b: RegularBase, op: OpDescriptor | str, a: AlphaValue) -> float:
@@ -270,22 +259,18 @@ class VerificationRecord:
 
 
 def verify_closed_form(op: OpDescriptor | str, g: Graph, a: AlphaValue, tol: float = 1e-8,
-                       coeffs: Optional[Mapping[str, float]] = None,
-                       exact: Optional[bool] = None,
                        base_id: Optional[str] = None) -> VerificationRecord:
     """Compare a closed-form spectrum against the numeric oracle, which always
     runs, and the exact one (roots of the rational characteristic polynomial),
-    which runs when ``exact`` is True, or by default whenever alpha is
-    rational and the operated graph is small enough."""
+    which runs if and only if ``a`` is exact (see ``AlphaValue.from_fraction``)
+    and the operated graph has at most ``CHARPOLY_MAX_N`` vertices."""
     op, form = _lookup(op)
     b = RegularBase.from_graph(g)
-    cf = form(b, op.param, a, coeffs)
+    cf = form(b, op.param, a)
     operated = apply_op(op, g)
     numeric_dev = multiset_deviation(cf.values, alpha_spectrum(operated, a).values)
     dev, exact_dev = numeric_dev, None
-    if exact is None:
-        exact = a.exact is not None and operated.p <= CHARPOLY_MAX_N
-    if exact:
+    if a.exact is not None and operated.p <= CHARPOLY_MAX_N:
         roots = poly_roots_real(charpoly_exact(a_alpha_exact(operated, a)))
         exact_dev = multiset_deviation(cf.values, roots)
         dev = max(dev, exact_dev)
@@ -295,8 +280,7 @@ def verify_closed_form(op: OpDescriptor | str, g: Graph, a: AlphaValue, tol: flo
         paper_deviation=form.deviation, exact_dev=exact_dev)
 
 
-def closed_form_identity(op: OpDescriptor | str, g: Graph, a: AlphaValue,
-                         coeffs: Optional[Mapping[str, float]] = None) -> bool:
+def closed_form_identity(op: OpDescriptor | str, g: Graph, a: AlphaValue) -> bool:
     """Whether det(xI - M_a(op G)) == (x - rep)**count * det(xI - [[X, Y2], [I, Z]])
     at a rational weight, with X = x0*I + x1*A + j*J, Y2 = g2*(l0*I + l1*A)**e
     and Z = z0*I + z1*A in the base's adjacency matrix A.  These commute, so
@@ -310,7 +294,7 @@ def closed_form_identity(op: OpDescriptor | str, g: Graph, a: AlphaValue,
         raise ValueError("base graph must be regular")
     got = charpoly_exact(a_alpha_exact(apply_op(op, g), a)).coefficients
     shape = RegularBase(g.p, g.q, r, (), component_counts(g)[0] == 1)   # no spectrum
-    c = {name: Fraction(v) for name, v in _merge(form.coeffs, coeffs).items()}
+    c = {name: Fraction(v) for name, v in form.coeffs.items()}
     k = form.block(c, a.exact, 1 - a.exact, shape, op.param)
     g2, l0, l1, e = k.y2
     y2 = [g2]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -24,6 +25,7 @@ from .graphs import Graph, adjacency_matrix, degree_info
 from .linalg import Spectrum, SymMatrix, sym_eigenvalues
 
 _DECIMAL_RE = re.compile(r"^\d+(\.\d+)?$")
+EXACT_MAX_DENOMINATOR = 10**15   # every decimal of up to 15 places
 
 
 @dataclass(frozen=True)
@@ -41,18 +43,20 @@ class AlphaValue:
 
     @classmethod
     def parse(cls, text: str) -> "AlphaValue":
-        """Parse a decimal string; exact when it has at most 6 decimal digits."""
+        """Parse a plain decimal string; exact as ``from_fraction`` decides."""
         text = text.strip()
         if not _DECIMAL_RE.match(text):
             raise ValueError(f"alpha must be a plain decimal, got {text!r}")
-        _, _, frac_part = text.partition(".")
-        exact = Fraction(text) if len(frac_part) <= 6 else None
-        return cls(numeric=float(text), exact=exact)
+        return cls.from_fraction(Fraction(Decimal(text)))   # Fraction(str) stops at 4300 digits
 
     @classmethod
     def from_fraction(cls, fr: Fraction | int) -> "AlphaValue":
+        """The weight ``fr``, exact if and only if its reduced denominator is at
+        most ``EXACT_MAX_DENOMINATOR``.  That bounds the exact route's work
+        before it starts; a finer weight is below its float's precision."""
         fr = Fraction(fr)
-        return cls(numeric=float(fr), exact=fr)
+        exact = fr if fr.denominator <= EXACT_MAX_DENOMINATOR else None
+        return cls(numeric=float(fr), exact=exact)
 
 
 def alpha(x: "AlphaValue | Fraction | str | float | int") -> AlphaValue:

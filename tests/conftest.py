@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
 import pytest
 from hypothesis import strategies as st
 
-from alphaenergy import (AlphaValue, Graph, RegularBase, complete,
+from alphaenergy import (CLOSED_FORMS, AlphaValue, Graph, RegularBase, complete,
                          complete_bipartite, cycle, petersen)
 
 
@@ -39,6 +40,14 @@ def regular_bases() -> list[tuple[str, Graph]]:
     rows.extend((f"K{a},{a}", complete_bipartite(a, a)) for a in range(2, 5))
     rows.append(("petersen", petersen()))
     return rows
+
+
+def corrupt_coefficient(monkeypatch, name: str, coeff: str, value: float) -> None:
+    """Swap the registry entry CLOSED_FORMS[name] for one with ``coeff`` set to
+    ``value``, so every route that reads the entry sees the corruption."""
+    form = CLOSED_FORMS[name]
+    monkeypatch.setitem(CLOSED_FORMS, name,
+                        dataclasses.replace(form, coeffs={**form.coeffs, coeff: value}))
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,8 @@ from alphaenergy import (CLOSED_FORMS, AlphaValue, RegularBase, alpha,
                          shadow_graph, splitting_graph, table1, tenth_grid,
                          verify_closed_form)
 from alphaenergy.closed_forms import CLOSED_FORM_INSTANCES
-from conftest import printed_splitting_spectrum, random_graph, regular_bases
+from conftest import (corrupt_coefficient, printed_splitting_spectrum, random_graph,
+                      regular_bases)
 
 # ----------------------------------------------------------------------
 # frozen reference data (4-decimal published values, 10 columns = the
@@ -174,7 +175,7 @@ def test_criterion_1_reference_table():
 
 def test_criterion_2_closed_forms_vs_numeric_oracle():
     t0 = time.perf_counter()
-    grid = [alpha(t) for t in ("0", "0.25", "0.5", "0.75")]
+    grid = [AlphaValue(numeric=t) for t in (0, 0.25, 0.5, 0.75)]   # numeric oracle only
     failures = []
     checked = 0
     for op_text in CLOSED_FORM_INSTANCES:
@@ -182,11 +183,10 @@ def test_criterion_2_closed_forms_vs_numeric_oracle():
         for label, g in regular_bases():
             if (op.name, label) in PRECONDITION_SKIPS:
                 with pytest.raises(ValueError):
-                    verify_closed_form(op, g, grid[0], exact=False)
+                    verify_closed_form(op, g, grid[0])
                 continue
             for a in grid:
-                rec = verify_closed_form(op, g, a, tol=1e-8, exact=False,
-                                         base_id=label)
+                rec = verify_closed_form(op, g, a, tol=1e-8, base_id=label)
                 checked += 1
                 if not rec.passed:
                     failures.append(f"{op_text} on {label} alpha={a.numeric}: "
@@ -382,30 +382,30 @@ def test_criterion_6_property_suite():
     assert not failures, "\n".join(failures[:20])
 
 
-def test_criterion_7_negative_control():
+def test_criterion_7_negative_control(monkeypatch):
     t0 = time.perf_counter()
     probes = {"middle": "middle", "central": "central",
               "splitting": "splitting:2", "closed-splitting": "closed-splitting",
               "closed-shadow": "closed-shadow", "ebd": "ebd"}
     bases = [("C4", cycle(4)), ("C5", cycle(5)), ("K4", complete(4)),
              ("K3,3", complete_bipartite(3, 3)), ("petersen", petersen())]
-    grid = [alpha(t) for t in ("0", "0.25", "0.5", "0.75")]
+    grid = [AlphaValue(numeric=t) for t in (0, 0.25, 0.5, 0.75)]   # numeric oracle only
     undetected = []
     checked = 0
     for op_name, op_text in probes.items():
         for coeff, default in CLOSED_FORMS[op_name].coeffs.items():
             checked += 1
-            tweak = {coeff: default + 1e-3}
             caught = False
-            for _, g in bases:
-                for a in grid:
-                    rec = verify_closed_form(op_text, g, a, coeffs=tweak,
-                                             exact=False)
-                    if rec.max_dev > 1e-4:
-                        caught = True
+            with monkeypatch.context() as mp:
+                corrupt_coefficient(mp, op_name, coeff, default + 1e-3)
+                for _, g in bases:
+                    for a in grid:
+                        rec = verify_closed_form(op_text, g, a)
+                        if rec.max_dev > 1e-4:
+                            caught = True
+                            break
+                    if caught:
                         break
-                if caught:
-                    break
             if not caught:
                 undetected.append(f"{op_text} coefficient {coeff!r}")
     elapsed = time.perf_counter() - t0

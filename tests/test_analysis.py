@@ -51,6 +51,13 @@ class TestClassify:
         assert res.verdict == "neither"
         assert res.equal_partners == ()
 
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_complete_graph_is_not_its_own_border(self, n):
+        # K_n matches the reference exactly, but borderenergetic excludes K_n
+        res = classify(complete(n), alpha("0.3"))
+        assert res.energy == pytest.approx(res.reference)
+        assert res.verdict == "neither"
+
     def test_border_takes_precedence(self):
         res = classify(splitting_graph(cycle(4), 1), alpha("0.7"), tol=10.0)
         assert res.verdict == "borderenergetic"

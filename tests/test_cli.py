@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphaenergy import cli
+from alphaenergy import cli, closed_forms
 from alphaenergy.cli import (MAX_GRID_POINTS, _parse_alpha_grid, main,
                              parse_graph_source, UsageError)
+from alphaenergy.closed_forms import verify_closed_form
 from alphaenergy.graphs import cycle
 from alphaenergy.ops import OPS, apply_op, op_label, parse_op
 
@@ -108,10 +109,18 @@ class TestSpectrum:
         assert exact == plain
 
     def test_exact_needs_rational_alpha(self, capsys):
-        rc, _, err = run(capsys, "spectrum", "C4", "--alpha", "0.1234567",
+        rc, _, err = run(capsys, "spectrum", "C4", "--alpha", "0.1234567890123457",
                          "--exact")
         assert rc == 2
-        assert "rational" in err
+        assert "rational" in err and "10^15" in err
+
+    def test_exact_takes_seven_places(self, capsys):
+        rc, plain, _ = run(capsys, "spectrum", "C4", "--alpha", "0.1234567")
+        assert rc == 0
+        rc, exact, err = run(capsys, "spectrum", "C4", "--alpha", "0.1234567",
+                             "--exact")
+        assert (rc, err) == (0, "")
+        assert exact.splitlines() == plain.splitlines()
 
     def test_exact_size_cap(self, capsys):
         rc, _, err = run(capsys, "spectrum", "op:shadow:7:petersen",
@@ -208,6 +217,22 @@ class TestVerify:
         rc, out, _ = run(capsys, "classify", "K8", "--alpha", "0.3", "--tol", "0")
         assert rc == 0 and json.loads(out)["graph"] == "K8"
 
+    def test_long_decimal_skips_the_exact_oracle(self, capsys, monkeypatch):
+        # 400 places is over the exactness bound, so the exact route never starts
+        def no_exact(*args, **kwargs):
+            raise AssertionError("exact oracle ran")
+        monkeypatch.setattr(closed_forms, "charpoly_exact", no_exact)
+        t = "0." + "3" * 400
+        rc, out, _ = run(capsys, "verify", "ebd", "C32", "--alphas", f"{t}:{t}:1")
+        assert rc == 0
+        assert json.loads(out)["pass"] is True
+
+    def test_15_place_grid_weight_runs_the_exact_oracle(self):
+        t = "0.123456789012345"
+        (a,) = _parse_alpha_grid(f"{t}:{t}:1")
+        rec = verify_closed_form("ebd", cycle(4), a)
+        assert rec.passed and rec.exact_dev is not None
+
     def test_precondition_violation_is_usage_error(self, capsys):
         rc, _, err = run(capsys, "verify", "middle", "K2")
         assert rc == 2
@@ -232,6 +257,12 @@ class TestClassifyAndTable:
         assert res["verdict"] == "borderenergetic"
         assert res["equal_partners"] == ["K8"]
         assert res["reference"] == pytest.approx(9.8)
+
+    @pytest.mark.parametrize("source, a", [("K1", "0.5"), ("K2", "0.3"), ("K8", "0.3")])
+    def test_classify_complete_graph_is_neither(self, capsys, source, a):
+        rc, out, _ = run(capsys, "classify", source, "--alpha", a)
+        assert rc == 0
+        assert json.loads(out)["verdict"] == "neither"
 
     def test_table1_csv(self, capsys):
         rc, out, _ = run(capsys, "table1")
@@ -290,7 +321,7 @@ class TestUsageContract:
     @pytest.mark.parametrize("argv", [
         ("spectrum", "X5", "--alpha", "0.5"), ("spectrum", "--alpha", "0.5", "X5"),
         ("spectrum", "C5", "--alpha", "abc"), ("spectrum", "--alpha", "abc", "C5"),
-        ("spectrum", "C5", "--alpha", "0.1234567", "--exact"),
+        ("spectrum", "C5", "--alpha", "0.1234567890123457", "--exact"),
         ("spectrum", "op:shadow:7:petersen", "--alpha", "0.5", "--exact"),
         ("energy", "P2001", "--alpha", "0.5"), ("energy", "--alpha", "0.5", "P2001"),
         ("energy", "C5", "--alpha", "1"), ("energy", "--alpha", "1", "C5"),

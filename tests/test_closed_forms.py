@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -21,7 +20,7 @@ from alphaenergy import (CLOSED_FORMS, AlphaValue, RegularBase, alpha,
 from alphaenergy import closed_forms, spectra
 from alphaenergy.cli import main
 from alphaenergy.closed_forms import CLOSED_FORM_INSTANCES
-from conftest import printed_splitting_spectrum
+from conftest import corrupt_coefficient, printed_splitting_spectrum
 
 SQ2 = math.sqrt(2.0)
 SQ5 = math.sqrt(5.0)
@@ -127,8 +126,9 @@ class TestVerification:
             assert rec.max_dev < 1e-8
 
     def test_exact_route_forced(self):
-        rec = verify_closed_form("ebd", cycle(4), alpha("0.25"), exact=True)
-        assert rec.passed
+        # an exact weight on a small enough graph is what turns the exact route on
+        rec = verify_closed_form("ebd", cycle(4), alpha("0.25"))
+        assert rec.passed and rec.exact_dev is not None
 
     def test_irrational_alpha_skips_exact_route(self):
         a = AlphaValue(numeric=1 / math.sqrt(3))
@@ -141,8 +141,8 @@ class TestVerification:
         assert "exact_dev" not in ran.to_json_dict()
         irrational = AlphaValue(numeric=1 / math.sqrt(3))
         assert verify_closed_form("ebd", cycle(4), irrational).exact_dev is None
-        assert verify_closed_form("ebd", cycle(4), alpha("0.25"),
-                                  exact=False).exact_dev is None
+        assert verify_closed_form("ebd", cycle(4),
+                                  AlphaValue(numeric=0.25)).exact_dev is None
         # ebd(C40) has 80 vertices, over the exact oracle's size limit
         assert verify_closed_form("ebd", cycle(40), alpha("0.25")).exact_dev is None
 
@@ -150,7 +150,9 @@ class TestVerification:
         ("ebd", cycle(4), "0.25", None), ("middle", cycle(6), "0.3", None),
         ("central", complete(4), "0.7", False), ("splitting:2", cycle(5), "0.5", True)])
     def test_max_dev_is_the_worse_oracle(self, op, base, text, exact):
-        rec = verify_closed_form(op, base, alpha(text), exact=exact)
+        # exact=False stands for a numeric-only weight, which skips the exact oracle
+        a = AlphaValue(numeric=float(text)) if exact is False else alpha(text)
+        rec = verify_closed_form(op, base, a)
         assert rec.max_dev == max(rec.numeric_dev, rec.exact_dev or 0.0)
         assert (rec.exact_dev is None) == (exact is False)
         assert "numeric_dev" not in rec.to_json_dict()
@@ -188,15 +190,10 @@ class TestVerification:
                                          numeric)
                 assert (dev <= 1e-8) == (t == "0"), f"alpha={t} dev {dev:.3e}"
 
-    def test_perturbed_coefficient_fails(self):
-        rec = verify_closed_form("ebd", cycle(5), alpha("0.3"),
-                                 coeffs={"adj_one": 1.001})
+    def test_perturbed_coefficient_fails(self, monkeypatch):
+        corrupt_coefficient(monkeypatch, "ebd", "adj_one", 1.001)
+        rec = verify_closed_form("ebd", cycle(5), alpha("0.3"))
         assert not rec.passed
-
-    def test_unknown_coefficient_rejected(self):
-        with pytest.raises(ValueError, match="unknown coefficients"):
-            verify_closed_form("ebd", cycle(5), alpha("0.3"),
-                               coeffs={"bogus": 1.0})
 
     def test_registry_is_the_checked_instances(self):
         assert set(CLOSED_FORMS) == {parse_op(t).name for t in CLOSED_FORM_INSTANCES}
@@ -216,7 +213,7 @@ class TestVerification:
             got = closed_forms._CF_DISPATCH[op.name](b, op.param, a, None)
             want = (cf_splitting_spectrum(b, op.param, a) if op.name == "splitting"
                     else public[op.name](b, a))
-            assert got == want
+            assert got == want == CLOSED_FORMS[op.name](b, op.param, a)
 
 
 # Bases where some 2x2 block has y = 0: lambda = -r for middle and central
@@ -232,9 +229,9 @@ def test_float_route_where_y_is_zero():
     worst, records = 0.0, 0
     for op_text in CLOSED_FORM_INSTANCES:
         for label, g in Y_ZERO_BASES:
-            for t in (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1):
-                rec = verify_closed_form(op_text, g, AlphaValue.from_fraction(t),
-                                         exact=False, base_id=label)
+            for t in (0, 0.25, 0.5, 0.75, 1):
+                rec = verify_closed_form(op_text, g, AlphaValue(numeric=t),
+                                         base_id=label)
                 worst = max(worst, rec.numeric_dev)
                 records += 1
     assert records == 200
@@ -253,7 +250,7 @@ def _counted_eigensolves(monkeypatch) -> list[int]:
 class TestIdentity:
     """closed_form_identity: the block against the exact charpoly."""
 
-    def test_every_corruption_fails(self):
+    def test_every_corruption_fails(self, monkeypatch):
         # criterion 7's probes, bases and weights, checked exactly
         probes = {"middle": "middle", "central": "central",
                   "splitting": "splitting:2", "closed-splitting": "closed-splitting",
@@ -264,10 +261,11 @@ class TestIdentity:
         for name, op_text in probes.items():
             for coeff, default in CLOSED_FORMS[name].coeffs.items():
                 checked += 1
-                tweak = {coeff: default + 1e-3}
-                if all(closed_form_identity(op_text, g, a, coeffs=tweak)
-                       for g in bases for a in grid):
-                    undetected.append(f"{op_text} {coeff}")
+                with monkeypatch.context() as mp:
+                    corrupt_coefficient(mp, name, coeff, default + 1e-3)
+                    if all(closed_form_identity(op_text, g, a)
+                           for g in bases for a in grid):
+                        undetected.append(f"{op_text} {coeff}")
         assert checked == 23
         assert not undetected
 
@@ -325,8 +323,7 @@ def test_double_roots_pass_nearby(op):
     failures = []
     for op_text, label, g, star in cases:
         for t in sorted({min(1.0, max(0.0, star + d)) for d in NEAR}):
-            rec = verify_closed_form(op_text, g, AlphaValue(numeric=t),
-                                     exact=False)
+            rec = verify_closed_form(op_text, g, AlphaValue(numeric=t))
             if not rec.passed:
                 failures.append(f"{op_text} {label} alpha={t!r}: "
                                 f"dev {rec.max_dev:.3e}")

@@ -26,9 +26,22 @@ class TestAlphaValue:
         assert AlphaValue.parse("1").exact == 1
 
     def test_parse_long_decimal_loses_exactness(self):
-        a = AlphaValue.parse("0.1234567")
+        a = AlphaValue.parse("0.1234567890123457")   # denominator 10**16
         assert a.exact is None
-        assert a.numeric == 0.1234567
+        assert a.numeric == 0.1234567890123457
+
+    def test_parse_keeps_up_to_15_places_exact(self):
+        assert AlphaValue.parse("0.1234567").exact == Fraction(1234567, 10**7)
+        assert AlphaValue.parse("0.123456789012345").exact is not None
+        # 16 places, but it reduces to a denominator under 10**15
+        assert AlphaValue.parse("0.1234567890123456").exact is not None
+
+    def test_one_exactness_rule(self):
+        assert AlphaValue.from_fraction(Fraction(1, 10**15)).exact == Fraction(1, 10**15)
+        a = AlphaValue.from_fraction(Fraction(1, 10**15 + 1))
+        assert a.exact is None and a.numeric == 1 / (10**15 + 1)
+        long = "0." + "3" * 5000   # past int()'s 4300-digit limit
+        assert AlphaValue.parse(long) == AlphaValue(numeric=float(long))
 
     @pytest.mark.parametrize("text", ["-0.1", "1.5", "abc", "1e-2", ".5"])
     def test_parse_rejects(self, text):
