@@ -15,7 +15,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from alphaenergy.cli import UsageError, _tolerance
+from alphaenergy.cli import UsageError, _grid_bound, _tolerance
 from alphaenergy.closed_forms import (CLOSED_FORM_INSTANCES, closed_form_identity,
                                       verify_closed_form)
 from alphaenergy.graphs import complete, complete_bipartite, cycle, petersen
@@ -50,9 +50,10 @@ def alpha_grid(step: Fraction) -> list[AlphaValue]:
 
 
 def grid_step(text: str) -> Fraction:
-    """Parse the weight grid step: a fraction in (0, 1]."""
+    """Parse the weight grid step: a fraction in (0, 1], written as a plain
+    decimal or as <int>/<int>, as the command line's grid bounds are."""
     try:
-        step = Fraction(text)
+        step = _grid_bound(text)
     except (ValueError, ZeroDivisionError):
         step = None
     if step is None or not 0 < step <= 1:

@@ -27,7 +27,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Sequence
 
 from .analysis import (format_csv, format_table_json, energy_report_json,
                        classify, sweep_table, table1)
@@ -35,7 +35,8 @@ from .closed_forms import CLOSED_FORMS, verify_closed_form
 from .graphs import (Graph, complete, complete_bipartite, cycle, degree_info,
                      family_size, path, petersen, read_edge_list, write_edge_list)
 from .ops import OPS, OpDescriptor, apply_op, op_label, parse_op, split_op
-from .spectra import AlphaValue, alpha_energy, alpha_spectrum, a_alpha_exact
+from .spectra import (AlphaValue, alpha_energy, alpha_spectrum, a_alpha_exact,
+                      plain_decimal)
 from .linalg import (CHARPOLY_MAX_N, SYM_EIG_MAX_N, charpoly_exact, make_spectrum,
                      poly_roots_real)
 
@@ -58,17 +59,15 @@ def _usage(prefix: str = ""):
 _FAMILY_RE = re.compile(r"^(C|P|K)(\d+)(?:,(\d+))?$")
 
 
-def _family(text: str) -> Optional[tuple[Callable[[], Graph], tuple[int, int, int]]]:
+def _family(text: str) -> tuple[Callable[[], Graph], tuple[int, int, int]]:
     """A family source's builder and its (p, q, s) (see ``family_size``),
-    checked but not built; None when ``text`` names no family."""
+    checked but not built."""
     if text == "petersen":
         return petersen, family_size(text)
     m = _FAMILY_RE.match(text)
-    if not m:
-        return None
-    kind = m.group(1)
-    if m.group(3) is not None and kind != "K":
+    if not m or (m.group(3) is not None and m.group(1) != "K"):
         raise UsageError(f"cannot parse graph source {text!r}")
+    kind = m.group(1)
     with _usage():      # int() refuses over 4300 digits
         args = tuple(int(x) for x in m.group(2, 3) if x is not None)
         counts = family_size(kind, *args)
@@ -76,36 +75,36 @@ def _family(text: str) -> Optional[tuple[Callable[[], Graph], tuple[int, int, in
     return functools.partial(build, *args), counts
 
 
-def _operated(op: OpDescriptor, source: str) -> tuple[str, Graph]:
-    """The source's label and ``op`` applied to its graph.  Over a family the
-    operation is sized from the family's counts before the family is built."""
-    family = _family(source)
-    with _usage():
-        if family is not None:
-            OPS[op.name].check_counts(*family[1], *(() if op.param is None else (op.param,)))
-        label, g = (source, family[0]()) if family else parse_graph_source(source)
-        return label, apply_op(op, g)
-
-
-def parse_graph_source(text: str) -> tuple[str, Graph]:
-    """Resolve a source string to (label, graph)."""
+def parse_graph_source(text: str, ops: Sequence[OpDescriptor] = ()) -> tuple[str, Graph]:
+    """Resolve a source string to (label, graph), with ``ops`` (outermost
+    first) applied after its own.  The ``op:`` prefixes are peeled in a loop
+    and applied inside out; over a family the innermost operation is sized
+    from the family's counts before the family is built."""
+    ops, label = list(ops), ""
+    while text.startswith("op:"):
+        with _usage():
+            op, rest = split_op(text[3:])
+        if not rest:
+            raise UsageError(f"operation source needs 'op:<operation>:<source>', got {text!r}")
+        ops.append(op)
+        label, text = f"{label}op:{op_label(op)}:", rest
     if text.startswith("file:"):
         p = Path(text[5:])
         if not p.is_file():
             raise UsageError(f"no such file: {p}")
         with _usage(f"bad edge list in {p}: "):  # EdgeListError, or a header over a cap
-            return text, read_edge_list(p.read_bytes())
-    if text.startswith("op:"):
+            g = read_edge_list(p.read_bytes())
+    else:
+        build, counts = _family(text)
         with _usage():
-            op, rest = split_op(text[3:])
-        if not rest:
-            raise UsageError(f"operation source needs 'op:<operation>:<source>', got {text!r}")
-        label, g = _operated(op, rest)
-        return f"op:{op_label(op)}:{label}", g
-    family = _family(text)
-    if family is None:
-        raise UsageError(f"cannot parse graph source {text!r}")
-    return text, family[0]()
+            if ops:
+                op = ops[-1]
+                OPS[op.name].check_counts(*counts, *(() if op.param is None else (op.param,)))
+            g = build()
+    with _usage():
+        for op in reversed(ops):
+            g = apply_op(op, g)
+    return label + text, g
 
 
 def _operation(text: str) -> OpDescriptor:
@@ -125,13 +124,21 @@ def _alpha(text: str) -> AlphaValue:
         return AlphaValue.parse(text)
 
 
+def _grid_bound(text: str) -> Fraction:
+    """A grid bound or step: a plain decimal, as --alpha takes, or <int>/<int>."""
+    num, sep, den = text.strip().partition("/")
+    if sep and num.isdecimal() and den.isdecimal():
+        return Fraction(int(num), int(den))   # int() refuses over 4300 digits
+    return plain_decimal(text)
+
+
 def _parse_alpha_grid(text: str) -> list[AlphaValue]:
     """Parse 'lo:hi:step' into an inclusive grid of exact weights."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"alpha grid must be lo:hi:step, got {text!r}")
     try:
-        lo, hi, step = (Fraction(p) for p in parts)
+        lo, hi, step = (_grid_bound(p) for p in parts)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"alpha grid must be lo:hi:step, got {text!r}") from None
     if step <= 0 or lo > hi:
@@ -140,8 +147,8 @@ def _parse_alpha_grid(text: str) -> list[AlphaValue]:
         raise UsageError(f"alpha grid must lie in [0, 1], got {text!r}")
     count = (hi - lo) // step + 1
     if count > MAX_GRID_POINTS:
-        raise UsageError(f"alpha grid {text!r} has {count} points, "
-                         f"over the cap of {MAX_GRID_POINTS}")
+        raise UsageError(f"alpha grid {text!r} has more than the cap of "
+                         f"{MAX_GRID_POINTS} points")
     return [AlphaValue.from_fraction(lo + k * step) for k in range(count)]
 
 
@@ -187,7 +194,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_op(args) -> int:
-    _, out = _operated(args.operation, args.source)
+    _, out = parse_graph_source(args.source, [args.operation])
     sys.stdout.write(write_edge_list(out).decode("ascii"))
     return 0
 
@@ -200,7 +207,7 @@ def _cmd_spectrum(args) -> int:
                              "10^15 (up to 15 decimal places)")
         if g.p > CHARPOLY_MAX_N:
             raise UsageError(f"--exact supports at most {CHARPOLY_MAX_N} vertices")
-        spec = make_spectrum(poly_roots_real(charpoly_exact(a_alpha_exact(g, a))))
+        spec = make_spectrum(poly_roots_real(charpoly_exact(*a_alpha_exact(g, a))))
     else:
         spec = alpha_spectrum(g, a)
     for value, mult in spec.groups:

@@ -271,7 +271,7 @@ def verify_closed_form(op: OpDescriptor | str, g: Graph, a: AlphaValue, tol: flo
     numeric_dev = multiset_deviation(cf.values, alpha_spectrum(operated, a).values)
     dev, exact_dev = numeric_dev, None
     if a.exact is not None and operated.p <= CHARPOLY_MAX_N:
-        roots = poly_roots_real(charpoly_exact(a_alpha_exact(operated, a)))
+        roots = poly_roots_real(charpoly_exact(*a_alpha_exact(operated, a)))
         exact_dev = multiset_deviation(cf.values, roots)
         dev = max(dev, exact_dev)
     return VerificationRecord(
@@ -285,14 +285,16 @@ def closed_form_identity(op: OpDescriptor | str, g: Graph, a: AlphaValue) -> boo
     at a rational weight, with X = x0*I + x1*A + j*J, Y2 = g2*(l0*I + l1*A)**e
     and Z = z0*I + z1*A in the base's adjacency matrix A.  These commute, so
     that is det((xI - X)(xI - Z) - Y2), the block's.  Each coefficient has
-    degree <= n in a (n the operated order): n + 1 weights prove every a."""
+    degree <= n in a (n the operated order): n + 1 weights prove every a.
+    Both sides are d**n and s**n times the monic ones (a = t/d, s the block's
+    denominator): each is scaled by the other's leading coefficient."""
     op, form = _lookup(op)
     if a.exact is None:
         raise ValueError("the identity needs a rational alpha")
     r = degree_info(g).regular
     if r is None:
         raise ValueError("base graph must be regular")
-    got = charpoly_exact(a_alpha_exact(apply_op(op, g), a)).coefficients
+    got = charpoly_exact(*a_alpha_exact(apply_op(op, g), a))   # det(d*x*I - N)
     shape = RegularBase(g.p, g.q, r, (), component_counts(g)[0] == 1)   # no spectrum
     c = {name: Fraction(v) for name, v in form.coeffs.items()}
     k = form.block(c, a.exact, 1 - a.exact, shape, op.param)
@@ -307,8 +309,8 @@ def closed_form_identity(op: OpDescriptor | str, g: Graph, a: AlphaValue) -> boo
     x, y, one, z = (sum(int(s * v) * pw for v, pw in zip(coefs, powers))
                     for coefs in (k.x, y2, (1,), k.z))
     blk = np.block([[x + int(s * k.j), y], [one, z]])
-    want = [int(v) for v in charpoly_exact(blk.tolist()).coefficients]   # det(xI - s*block)
+    want = list(charpoly_exact(blk.tolist(), s))   # det(s*x*I - s*block)
     rep = int(s * k.rep)
-    for _ in range(k.count):   # times (x - s*rep)
-        want = [v - rep * u for u, v in zip(want + [0], [0] + want)]
-    return got == tuple(Fraction(v, s ** (len(want) - 1 - i)) for i, v in enumerate(want))
+    for _ in range(k.count):   # times (s*x - s*rep)
+        want = [s * u - rep * v for u, v in zip([0] + want, want + [0])]
+    return tuple(v * want[-1] for v in got) == tuple(v * got[-1] for v in want)

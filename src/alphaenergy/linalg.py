@@ -4,12 +4,13 @@ Two independent routes to a spectrum live here on purpose:
 
 * ``sym_eigenvalues`` is a threshold cyclic-by-row Jacobi iteration in
   float64.
-* ``charpoly_exact`` + ``poly_roots_real`` go through exact arithmetic
-  (Hessenberg reduction mod primes below 2**28 with a CRT lift past a
-  Hadamard bound, then Yun square-free splitting, Sturm isolation from
-  the smaller of Cauchy's and Fujiwara's root bounds and quadratic
-  interval refinement at dyadic points m / 2**e in Python integers) and
-  touch floating point only when each refined root is rounded to a float.
+* ``charpoly_exact`` + ``poly_roots_real`` stay in Python integers from
+  an integer matrix N over a denominator d to the roots (Hessenberg
+  reduction mod primes below 2**28 with a CRT lift past a Hadamard bound,
+  then Yun square-free splitting, Sturm isolation from the smaller of
+  Cauchy's and Fujiwara's root bounds and quadratic interval refinement
+  at dyadic points m / 2**e) and touch floating point only when each
+  refined root is rounded to a float.
 
 Keep them independent; tests compare one against the other.
 """
@@ -18,8 +19,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -174,21 +175,6 @@ def sym_eigenvalues(m: SymMatrix | np.ndarray) -> Spectrum:
 # ----------------------------------------------------------------------
 # exact characteristic polynomial
 
-@dataclass(frozen=True)
-class RationalPoly:
-    """Polynomial with exact rational coefficients, ascending degree."""
-
-    coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients",
-                           tuple(Fraction(c) for c in self.coefficients))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-
 def _is_prime(m: int) -> bool:
     """Miller-Rabin with bases 2, 3, 5, 7: exact for odd 7 < m < 3.2e9."""
     d, s = m - 1, 0
@@ -270,32 +256,33 @@ def _charpoly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
     return polys[:, n]
 
 
-def charpoly_exact(mat: Sequence[Sequence[Fraction | int]]) -> RationalPoly:
-    """det(xI - M) with exact rational coefficients.
+def charpoly_exact(mat: Sequence[Sequence[int]], d: int = 1) -> tuple[int, ...]:
+    """Ascending coefficients of det(d*x*I - N) for an integer matrix N and
+    an integer d >= 1.  Its roots are the eigenvalues of N / d.
 
-    M is scaled by the lcm s of its denominators to an integer matrix N.
-    The charpoly of N is computed mod primes below 2**28, counting down
-    from 2**28 - 1, by reduction to Hessenberg form, and the residues are
-    combined by CRT.  Each coefficient of det(xI - N) is a signed sum of
-    at most 2**n principal minors, each bounded by Hadamard's inequality,
-    so its size is at most B = 2**n * prod_i max(1, ceil(||N_i||_2)) over
-    the rows N_i.  Enough primes are taken that their product exceeds 2B,
-    so the symmetric residue is the integer coefficient itself.  The
-    primes are fixed and the reduction is a similarity over GF(p) for
-    every prime, so the result is exact and deterministic.  Coefficient j
-    of det(xI - M) is then c_j / s**(n - j).
+    With det(xI - N) = sum_j c_j x**j, the result is c_j * d**j.  The c_j
+    are computed mod primes below 2**28, counting down from 2**28 - 1, by
+    reduction to Hessenberg form, and the residues are combined by CRT.
+    Each c_j is a signed sum of at most 2**n principal minors, each bounded
+    by Hadamard's inequality, so its size is at most
+    B = 2**n * prod_i max(1, ceil(||N_i||_2)) over the rows N_i.  Enough
+    primes are taken that their product exceeds 2B, so the symmetric
+    residue is the integer c_j itself.  The primes are fixed and the
+    reduction is a similarity over GF(p) for every prime, so the result is
+    exact and deterministic.  Entries and d are read with
+    ``operator.index``: a float or a Fraction raises TypeError.
     """
-    # int and Fraction both carry numerator and denominator; convert the rest
-    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in r] for r in mat]
-    n = len(rows)
+    nmat = [[operator.index(x) for x in row] for row in mat]
+    d = operator.index(d)
+    n = len(nmat)
     if n < 1:
         raise ValueError("matrix must be at least 1x1")
-    if any(len(r) != n for r in rows):
+    if any(len(r) != n for r in nmat):
         raise ValueError("matrix must be square")
     if n > CHARPOLY_MAX_N:
         raise ValueError(f"matrix dimension {n} exceeds cap {CHARPOLY_MAX_N}")
-    s = math.lcm(*{x.denominator for row in rows for x in row})
-    nmat = [[x.numerator * (s // x.denominator) for x in row] for row in rows]
+    if d < 1:
+        raise ValueError(f"denominator must be at least 1, got {d}")
 
     bound = 2 ** n
     for row in nmat:
@@ -316,8 +303,8 @@ def charpoly_exact(mat: Sequence[Sequence[Fraction | int]]) -> RationalPoly:
     coeffs = []
     for j in range(n + 1):
         c = sum(r[j] * w for r, w in zip(residues, weights)) % modulus
-        coeffs.append(c - modulus if 2 * c > modulus else c)
-    return RationalPoly(tuple(Fraction(coeffs[j], s ** (n - j)) for j in range(n + 1)))
+        coeffs.append((c - modulus if 2 * c > modulus else c) * d ** j)
+    return tuple(coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -563,24 +550,20 @@ def _root_exponent(f: Sequence[int]) -> int:
     return min(cauchy, max(fujiwara, 0))
 
 
-def poly_roots_real(pl: RationalPoly) -> list[float]:
-    """All real roots with multiplicity, descending.
+def poly_roots_real(coeffs: Sequence[int]) -> list[float]:
+    """All real roots with multiplicity, descending, of the integer
+    polynomial with ascending ``coeffs`` (read with ``operator.index``).
 
     Intended for polynomials known to have only real roots (e.g. the
     characteristic polynomial of a symmetric matrix); raises if any
     square-free factor has fewer real roots than its degree.
     """
-    coeffs = list(pl.coefficients)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
+    coeffs = _strip([operator.index(c) for c in coeffs])
     if not coeffs:
         raise ValueError("zero polynomial has no well-defined root set")
     if len(coeffs) == 1:
         return []
-    s = 1
-    for c in coeffs:
-        s = math.lcm(s, c.denominator)
-    f = _primitive([int(c * s) for c in coeffs])
+    f = _primitive(coeffs)
     if f[-1] < 0:
         f = [-x for x in f]
     roots: list[float] = []

@@ -28,6 +28,15 @@ _DECIMAL_RE = re.compile(r"^\d+(\.\d+)?$")
 EXACT_MAX_DENOMINATOR = 10**15   # every decimal of up to 15 places
 
 
+def plain_decimal(text: str) -> Fraction:
+    """The exact value of digits, optionally followed by a point and more
+    digits.  Signs, exponents and a bare leading point are refused."""
+    text = text.strip()
+    if not _DECIMAL_RE.match(text):
+        raise ValueError(f"alpha must be a plain decimal, got {text!r}")
+    return Fraction(Decimal(text))   # Fraction(str) stops at 4300 digits
+
+
 @dataclass(frozen=True)
 class AlphaValue:
     """Weight in [0, 1]; carries an exact rational when one is known."""
@@ -44,10 +53,7 @@ class AlphaValue:
     @classmethod
     def parse(cls, text: str) -> "AlphaValue":
         """Parse a plain decimal string; exact as ``from_fraction`` decides."""
-        text = text.strip()
-        if not _DECIMAL_RE.match(text):
-            raise ValueError(f"alpha must be a plain decimal, got {text!r}")
-        return cls.from_fraction(Fraction(Decimal(text)))   # Fraction(str) stops at 4300 digits
+        return cls.from_fraction(plain_decimal(text))
 
     @classmethod
     def from_fraction(cls, fr: Fraction | int) -> "AlphaValue":
@@ -77,20 +83,19 @@ def a_alpha_matrix(g: Graph, a: AlphaValue) -> SymMatrix:
     return SymMatrix(m)
 
 
-def a_alpha_exact(g: Graph, a: AlphaValue) -> list[list[Fraction]]:
-    """Same matrix over exact rationals; needs an exact alpha."""
+def a_alpha_exact(g: Graph, a: AlphaValue) -> tuple[list[list[int]], int]:
+    """The same matrix as (N, d) in Python integers, M_a = N / d: at a = t/d,
+    N = t*D + (d - t)*A.  Needs an exact alpha."""
     if a.exact is None:
         raise ValueError("exact matrix needs a rational alpha")
-    al = a.exact
+    t, d = a.exact.numerator, a.exact.denominator
     deg = degree_info(g).degrees
-    rows = [[Fraction(0)] * g.p for _ in range(g.p)]
+    rows = [[0] * g.p for _ in range(g.p)]
     for v in range(g.p):
-        rows[v][v] = al * deg[v]
-    w = 1 - al
+        rows[v][v] = t * deg[v]
     for i, j in g.edges:
-        rows[i][j] = w
-        rows[j][i] = w
-    return rows
+        rows[i][j] = rows[j][i] = d - t
+    return rows, d
 
 
 def alpha_spectrum(g: Graph, a: AlphaValue) -> Spectrum:

@@ -218,7 +218,7 @@ def test_criterion_3_exact_oracle_agreement():
     failures = []
     for label, g in jobs:
         for a in grid:
-            roots = poly_roots_real(charpoly_exact(a_alpha_exact(g, a)))
+            roots = poly_roots_real(charpoly_exact(*a_alpha_exact(g, a)))
             numeric = alpha_spectrum(g, a).values
             dev = multiset_deviation(roots, numeric)
             if dev > 1e-6:

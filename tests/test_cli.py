@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,7 @@ from alphaenergy.cli import (MAX_GRID_POINTS, _parse_alpha_grid, main,
 from alphaenergy.closed_forms import verify_closed_form
 from alphaenergy.graphs import cycle
 from alphaenergy.ops import OPS, apply_op, op_label, parse_op
+from alphaenergy.spectra import AlphaValue
 
 
 def run(capsys, *argv):
@@ -46,6 +51,14 @@ class TestSourceParsing:
     def test_rejects(self, text):
         with pytest.raises(UsageError):
             parse_graph_source(text)
+
+    @pytest.mark.parametrize("argv", [("gen", "{}"), ("energy", "{}", "--alpha", "0.5"),
+                                      ("op", "line:0", "{}")], ids=lambda argv: argv[0])
+    def test_2000_levels_print_what_the_innermost_source_prints(self, capsys, argv):
+        # the op: prefixes are peeled in a loop, not one call per level
+        deep = run(capsys, *(x.format("op:line:0:" * 2000 + "C3") for x in argv))
+        assert deep == run(capsys, *(x.format("C3") for x in argv))
+        assert deep[0] == 0
 
     @pytest.mark.parametrize("name", list(OPS))
     def test_every_operation_nests(self, name):
@@ -184,6 +197,47 @@ class TestSweep:
     def test_bad_grids(self, capsys, grid):
         rc, _, err = run(capsys, "sweep", "C4", "--alphas", grid)
         assert rc == 2
+
+
+def _cold(*argv):
+    """``alphaenergy *argv`` in a new interpreter, killed after 2 s."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "alphaenergy.cli", *argv],
+                          capture_output=True, text=True, timeout=2,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+class TestWeightGrammar:
+    """Grid bounds are read as --alpha reads a weight, or as <int>/<int>."""
+
+    @pytest.mark.parametrize("grid", ["0:1e99999999:1", "0:0.5:1e-99999999",
+                                      "0:1:1e-9999999"])
+    def test_exponent_bound_refused_at_once(self, grid):
+        done = _cold("sweep", "C4", "--alphas", grid)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["1e-1", "0.5e0", ".5", "5.", "+0.5", "0.1_0"])
+    def test_grid_refuses_what_alpha_refuses(self, capsys, text):
+        assert run(capsys, "energy", "C4", "--alpha", text)[0] == 2
+        for grid in (f"{text}:1:1", f"0:{text}:1", f"0:1:{text}"):
+            rc, out, err = run(capsys, "sweep", "C4", "--alphas", grid)
+            assert (rc, out) == (2, "") and err.startswith("error: alpha grid must be")
+
+    def test_bound_of_5000_digits(self, capsys):
+        t = "0." + "3" * 5000   # past int()'s 4300-digit limit, as --alpha takes it
+        assert _parse_alpha_grid(f"{t}:{t}:1") == [AlphaValue.parse(t)]
+        rc, out, err = run(capsys, "sweep", "C4", "--alphas", f"{t}:{t}:1")
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[1] == "C4,2.6667"
+
+    def test_point_cap_message_names_no_count(self, capsys):
+        step = "0." + "0" * 5000 + "1"   # 10**5000 points
+        rc, out, err = run(capsys, "sweep", "C4", "--alphas", f"0:1:{step}")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: alpha grid") and err.count("\n") == 1
+        assert err.endswith("has more than the cap of 10001 points\n")
 
 
 class TestVerify:

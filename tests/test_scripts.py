@@ -27,7 +27,7 @@ verify_script = _load("verify_closed_forms")
 observations_script = _load("observations")
 
 
-@pytest.mark.parametrize("text", ["0", "-1/4", "2", "x", "1/0"])
+@pytest.mark.parametrize("text", ["0", "-1/4", "2", "x", "1/0", "1e-1", ".5", "+1/2"])
 def test_grid_step_rejects(text):
     with pytest.raises(argparse.ArgumentTypeError, match=r"\(0, 1\]"):
         verify_script.grid_step(text)

@@ -86,10 +86,26 @@ class TestMatrixPencil:
     def test_exact_matches_float(self):
         g = petersen()
         a = alpha("0.25")
-        exact = a_alpha_exact(g, a)
+        rows, d = a_alpha_exact(g, a)
         num = a_alpha_matrix(g, a).data
-        assert max(abs(float(exact[i][j]) - num[i, j])
+        assert d == 4
+        assert max(abs(rows[i][j] / d - num[i, j])
                    for i in range(g.p) for j in range(g.p)) == 0.0
+
+    @given(graphs(max_p=8))
+    @settings(max_examples=30, deadline=None)
+    def test_exact_is_the_float_matrix_over_d(self, g):
+        # at a weight with few bits every float entry is exact: N / d equals
+        # it entry for entry; at a decimal weight, within the float rounding
+        for text, tol in (("0", 0), ("0.25", 0), ("0.625", 0), ("1", 0),
+                          ("0.3", 2 ** -50), ("0.123456789012345", 2 ** -50)):
+            a = alpha(text)
+            rows, d = a_alpha_exact(g, a)
+            assert all(type(x) is int for row in rows for x in row)
+            num = a_alpha_matrix(g, a).data
+            for i in range(g.p):
+                for j in range(g.p):
+                    assert abs(Fraction(rows[i][j], d) - Fraction(num[i, j])) <= tol * g.p
 
     def test_exact_requires_rational_alpha(self):
         with pytest.raises(ValueError, match="rational"):
