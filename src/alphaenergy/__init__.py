@@ -8,8 +8,8 @@ from .ops import (OpDescriptor, apply_op, central_graph, closed_shadow_graph,
                   closed_splitting_graph, duplicate_graph, ebd_graph,
                   iterated_line_graph, line_graph, middle_graph, op_label,
                   parse_op, shadow_graph, splitting_graph)
-from .linalg import (Spectrum, SymMatrix, charpoly_exact, make_spectrum,
-                     multiset_deviation, poly_roots_real, sym_eigenvalues)
+from .linalg import (Spectrum, charpoly_exact, make_spectrum, multiset_deviation,
+                     poly_roots_real, sym_eigenvalues)
 from .spectra import (AlphaValue, EnergyReport, a_alpha_exact, a_alpha_matrix,
                       alpha, alpha_energies, alpha_energy, alpha_spectrum)
 from .closed_forms import (CLOSED_FORMS, ClosedForm, RegularBase,
@@ -33,8 +33,8 @@ __all__ = [
     "closed_splitting_graph", "duplicate_graph", "ebd_graph",
     "iterated_line_graph", "line_graph", "middle_graph", "op_label",
     "parse_op", "shadow_graph", "splitting_graph",
-    "Spectrum", "SymMatrix", "charpoly_exact", "make_spectrum",
-    "multiset_deviation", "poly_roots_real", "sym_eigenvalues",
+    "Spectrum", "charpoly_exact", "make_spectrum", "multiset_deviation",
+    "poly_roots_real", "sym_eigenvalues",
     "AlphaValue", "EnergyReport", "a_alpha_exact", "a_alpha_matrix",
     "alpha", "alpha_energies", "alpha_energy", "alpha_spectrum",
     "CLOSED_FORMS", "ClosedForm", "RegularBase", "VerificationRecord",

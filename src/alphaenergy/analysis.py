@@ -30,6 +30,14 @@ def reference_energy(n: int, a: AlphaValue) -> float:
     return 2.0 * (n - 1) * (1.0 - a.numeric)
 
 
+def _verdict(energy: float, reference: float, tol: float) -> str:
+    """Borderenergetic within ``tol`` of the K_n reference, else
+    hyperenergetic above it, else neither."""
+    if abs(energy - reference) <= tol:
+        return "borderenergetic"
+    return "hyperenergetic" if energy > reference + tol else "neither"
+
+
 @dataclass(frozen=True)
 class ClassificationResult:
     graph_id: str
@@ -51,14 +59,8 @@ def classify(g: Graph, a: AlphaValue,
     """
     rep = alpha_energy(g, a, graph_id=graph_id)
     ref = reference_energy(g.p, a)
-    if g.q == g.p * (g.p - 1) // 2:
-        verdict = "neither"
-    elif abs(rep.energy - ref) <= tol:
-        verdict = "borderenergetic"
-    elif rep.energy > ref + tol:
-        verdict = "hyperenergetic"
-    else:
-        verdict = "neither"
+    complete_graph = g.q == g.p * (g.p - 1) // 2
+    verdict = "neither" if complete_graph else _verdict(rep.energy, ref, tol)
     partners = tuple(
         label for label, peer in peers
         if abs(alpha_energy(peer, a).energy - rep.energy) <= tol)
@@ -185,68 +187,55 @@ def observations_report(tol: float = DEFAULT_TOL) -> ObservationsReport:
     graphs.update((f"D2[K{p},{p}]", closed_shadow_graph(complete_bipartite(p, p)))
                   for p in (2, 4, 5))
 
+    def weights(label: str) -> tuple[AlphaValue, ...]:
+        return upper if label.startswith("Spl(") else grid
+
     @functools.cache
     def energies(label: str) -> tuple[float, ...]:
-        return alpha_energies(graphs[label], upper if label.startswith("Spl(") else grid)
+        return alpha_energies(graphs[label], weights(label))
 
-    bullets: list[BulletResult] = []
+    def same(x: str, *others: str) -> list[str]:
+        """Where another graph's energy differs from x's."""
+        return [f"{x} vs {y} alpha={a.numeric}: gap {abs(ex - ey):.3e}"
+                for y in others
+                for a, ex, ey in zip(grid, energies(x), energies(y))
+                if abs(ex - ey) > tol]
 
-    def bullet(key: str, description: str, fails: list[str]) -> None:
-        bullets.append(BulletResult(key=key, description=description,
-                                    passed=not fails, failures=tuple(fails)))
+    def verdict(want: str, *labels: str) -> list[str]:
+        """Where a graph's verdict against K_n on its own order is not want."""
+        fails = []
+        for label in labels:
+            n = graphs[label].p
+            for a, e in zip(weights(label), energies(label)):
+                ref = reference_energy(n, a)
+                if _verdict(e, ref, tol) != want:
+                    fails.append(
+                        f"{label} alpha={a.numeric}: energy {e:.4f} <= reference {ref:.4f}"
+                        if want == "hyperenergetic" else
+                        f"{label} vs K{n} alpha={a.numeric}: gap {abs(e - ref):.3e}")
+        return fails
 
-    fails: list[str] = []
-    for label in bases:
-        for a, e1, e2 in zip(grid, energies(f"D2({label})"), energies(f"D({label})")):
-            gap = abs(e1 - e2)
-            if gap > tol:
-                fails.append(f"{label} alpha={a.numeric}: gap {gap:.3e}")
-    bullet("shadow2-equals-duplicate",
-           "two-fold shadow and duplicate are equienergetic for every weight", fails)
-
-    fails = []
-    for a, e in zip(grid, energies("D2[C4]")):
-        gap = abs(e - reference_energy(8, a))
-        if gap > tol:
-            fails.append(f"alpha={a.numeric}: gap {gap:.3e}")
-    bullet("closed-shadow-c4-borderenergetic",
-           "closed shadow of C4 matches the K8 energy for every weight", fails)
-
-    fails = []
-    for a, e1, e2 in zip(grid, energies("D2[C6]"), energies("D2[K3,3]")):
-        ref = reference_energy(12, a)
-        if abs(e1 - e2) > tol:
-            fails.append(f"alpha={a.numeric}: pair gap {abs(e1 - e2):.3e}")
-        if abs(e1 - ref) > tol or abs(e2 - ref) > tol:
-            fails.append(f"alpha={a.numeric}: reference gap")
-    bullet("closed-shadow-c6-k33",
-           "closed shadows of C6 and K3,3 are equienergetic and both match K12", fails)
-
-    fails = []
-    for a, e, e2, e3 in zip(grid, energies("Ebd(C6)"), energies("D2(C6)"), energies("D(C6)")):
-        if abs(e - e2) > tol or abs(e - e3) > tol:
-            fails.append(f"alpha={a.numeric}")
-    bullet("ebd-c6-equienergetic",
-           "extended bipartite double of C6 matches shadow and duplicate of C6", fails)
-
-    fails = []
-    for p in range(2, 6):
-        for a, e in zip(grid, energies(f"D2[K{p},{p}]")):
-            gap = abs(e - reference_energy(4 * p, a))
-            if gap > tol:
-                fails.append(f"p={p} alpha={a.numeric}: gap {gap:.3e}")
-    bullet("closed-shadow-kpp-borderenergetic",
-           "closed shadow of K_{p,p} matches the K_{4p} energy (p=2..5)", fails)
-
-    fails = []
-    for label in bases:
-        spl = f"Spl({label})"
-        for a, e in zip(upper, energies(spl)):
-            ref = reference_energy(graphs[spl].p, a)
-            if not e > ref + tol:
-                fails.append(f"{spl} alpha={a.numeric}: "
-                             f"energy {e:.4f} <= reference {ref:.4f}")
-    bullet("splitting-hyperenergetic",
-           "one-fold splitting is hyperenergetic for weights >= 0.3", fails)
-
-    return ObservationsReport(tol=tol, bullets=tuple(bullets))
+    checks = (
+        ("shadow2-equals-duplicate",
+         "two-fold shadow and duplicate are equienergetic for every weight",
+         [f for b in bases for f in same(f"D2({b})", f"D({b})")]),
+        ("closed-shadow-c4-borderenergetic",
+         "closed shadow of C4 matches the K8 energy for every weight",
+         verdict("borderenergetic", "D2[C4]")),
+        ("closed-shadow-c6-k33",
+         "closed shadows of C6 and K3,3 are equienergetic and both match K12",
+         same("D2[C6]", "D2[K3,3]") + verdict("borderenergetic", "D2[C6]", "D2[K3,3]")),
+        ("ebd-c6-equienergetic",
+         "extended bipartite double of C6 matches shadow and duplicate of C6",
+         same("Ebd(C6)", "D2(C6)", "D(C6)")),
+        ("closed-shadow-kpp-borderenergetic",
+         "closed shadow of K_{p,p} matches the K_{4p} energy (p=2..5)",
+         verdict("borderenergetic", *(f"D2[K{p},{p}]" for p in range(2, 6)))),
+        ("splitting-hyperenergetic",
+         "one-fold splitting is hyperenergetic for weights >= 0.3",
+         verdict("hyperenergetic", *(f"Spl({b})" for b in bases))),
+    )
+    return ObservationsReport(tol=tol, bullets=tuple(
+        BulletResult(key=key, description=description, passed=not fails,
+                     failures=tuple(fails))
+        for key, description, fails in checks))

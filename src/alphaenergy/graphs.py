@@ -178,10 +178,10 @@ def petersen() -> Graph:
 
 # ----------------------------------------------------------------------
 # edge-list files: header "p q", then q lines "i j" with 0 <= i < j < p,
-# '#' lines are comments
+# '#' lines are comments; bytes are UTF-8, with or without a byte-order mark
 
 def read_edge_list(data: bytes | str) -> Graph:
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:

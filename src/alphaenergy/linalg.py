@@ -21,7 +21,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,28 +34,6 @@ JACOBI_MAX_SWEEPS = 100
 JACOBI_THRESHOLD = 0.2
 JACOBI_THRESHOLD_SWEEPS = 3
 GROUP_TOL = 1e-7         # eigenvalue clustering width for multiplicities
-
-
-@dataclass(frozen=True)
-class SymMatrix:
-    """Square, finite, exactly symmetric float matrix."""
-
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.array(self.data, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise ValueError("matrix entries must be finite")
-        if not (a == a.T).all():
-            raise ValueError("matrix must be exactly symmetric")
-        a.setflags(write=False)
-        object.__setattr__(self, "data", a)
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
 
 
 @dataclass(frozen=True)
@@ -81,20 +59,9 @@ def _cluster(values: Sequence[float], tol: float) -> tuple[tuple[float, int], ..
     return tuple(groups)
 
 
-def make_spectrum(values: Iterable[float],
-                  trace: Optional[float] = None,
-                  scale: Optional[float] = None) -> Spectrum:
-    """Sort values and cluster multiplicities.
-
-    When ``trace`` is given, the sum of values must reproduce it within
-    1e-9 * n * scale (scale = max matrix entry magnitude).
-    """
+def make_spectrum(values: Iterable[float]) -> Spectrum:
+    """Sort values in non-increasing order and cluster multiplicities."""
     vals = tuple(sorted((float(v) for v in values), reverse=True))
-    if trace is not None:
-        tol = 1e-9 * max(1, len(vals)) * (scale if scale is not None else 1.0)
-        err = abs(math.fsum(vals) - trace)
-        if err > tol:
-            raise ValueError(f"eigenvalue sum off trace by {err:.3e} (tol {tol:.3e})")
     return Spectrum(values=vals, groups=_cluster(vals, GROUP_TOL))
 
 
@@ -163,13 +130,26 @@ def _jacobi(a0: np.ndarray) -> np.ndarray:
     return a.diagonal().copy()
 
 
-def sym_eigenvalues(m: SymMatrix | np.ndarray) -> Spectrum:
-    sm = m if isinstance(m, SymMatrix) else SymMatrix(np.asarray(m))
-    if sm.n < 1 or sm.n > SYM_EIG_MAX_N:
-        raise ValueError(f"matrix dimension {sm.n} outside 1..{SYM_EIG_MAX_N}")
-    d = _jacobi(sm.data)
-    scale = float(np.abs(sm.data).max()) if sm.n else 0.0
-    return make_spectrum(sorted(d, reverse=True), trace=float(sm.data.trace()), scale=scale)
+def sym_eigenvalues(m: np.ndarray) -> Spectrum:
+    """Spectrum of a square, finite, exactly symmetric matrix of order
+    1..``SYM_EIG_MAX_N``.  The eigenvalues must sum to the trace within
+    1e-9 * n * max|entry|."""
+    a = np.array(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    if not (a == a.T).all():
+        raise ValueError("matrix must be exactly symmetric")
+    n = a.shape[0]
+    if not 1 <= n <= SYM_EIG_MAX_N:
+        raise ValueError(f"matrix dimension {n} outside 1..{SYM_EIG_MAX_N}")
+    spec = make_spectrum(_jacobi(a))
+    tol = 1e-9 * n * float(np.abs(a).max())
+    err = abs(math.fsum(spec.values) - float(a.trace()))
+    if err > tol:
+        raise ValueError(f"eigenvalue sum off trace by {err:.3e} (tol {tol:.3e})")
+    return spec
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graphs import Graph, adjacency_matrix, degree_info
-from .linalg import Spectrum, SymMatrix, sym_eigenvalues
+from .linalg import Spectrum, sym_eigenvalues
 
 _DECIMAL_RE = re.compile(r"^\d+(\.\d+)?$")
 EXACT_MAX_DENOMINATOR = 10**15   # every decimal of up to 15 places
@@ -76,11 +76,11 @@ def alpha(x: "AlphaValue | Fraction | str | float | int") -> AlphaValue:
     return AlphaValue(numeric=float(x))
 
 
-def a_alpha_matrix(g: Graph, a: AlphaValue) -> SymMatrix:
+def a_alpha_matrix(g: Graph, a: AlphaValue) -> np.ndarray:
     deg = np.array(degree_info(g).degrees, dtype=float)
     m = (1.0 - a.numeric) * adjacency_matrix(g)
     m[np.diag_indices(g.p)] += a.numeric * deg
-    return SymMatrix(m)
+    return m
 
 
 def a_alpha_exact(g: Graph, a: AlphaValue) -> tuple[list[list[int]], int]:

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 
 from alphaenergy import (SweepTable, alpha, alpha_energy, classify,
-                         closed_shadow_graph, complete, cycle, degree_info,
-                         energy_report_json, format_csv, format_table_json,
-                         observations_report, path, petersen,
+                         closed_shadow_graph, complete, complete_bipartite,
+                         cycle, degree_info, energy_report_json, format_csv,
+                         format_table_json, observations_report, path, petersen,
                          reference_energy, shadow_graph, splitting_graph,
                          sweep_table, table1, table1_rows, tenth_grid)
+from alphaenergy import analysis, spectra
+from test_acceptance import SPLITTING_BASES, SPLITTING_NOT_HYPERENERGETIC
 
 TABLE1_LABELS = [
     "K8", "Spl(C4)", "Lambda(C4)", "D2[C4]", "Ebd(C4)", "D2(C4)", "D(C4)",
@@ -61,6 +64,21 @@ class TestClassify:
     def test_border_takes_precedence(self):
         res = classify(splitting_graph(cycle(4), 1), alpha("0.7"), tol=10.0)
         assert res.verdict == "borderenergetic"
+
+    def test_agrees_with_the_battery(self):
+        # the battery's borderenergetic graphs over its grid, and its
+        # splitting rows at weights >= 0.3, at the battery's tolerance
+        grid = tenth_grid()
+        border = [closed_shadow_graph(cycle(4)), closed_shadow_graph(cycle(6))]
+        border += [closed_shadow_graph(complete_bipartite(p, p)) for p in range(2, 6)]
+        verdicts = [classify(g, a, tol=1e-6).verdict for g in border for a in grid]
+        assert verdicts == ["borderenergetic"] * 60
+        got = {(label, a.numeric): classify(splitting_graph(g, 1), a, tol=1e-6).verdict
+               for label, g in SPLITTING_BASES.items() for a in grid if a.numeric >= 0.3}
+        assert len(got) == 28
+        assert {case for case, v in got.items() if v != "hyperenergetic"} \
+            == SPLITTING_NOT_HYPERENERGETIC
+        assert {got[case] for case in SPLITTING_NOT_HYPERENERGETIC} == {"neither"}
 
     def test_scale_consistency_for_regular_graphs(self):
         g = closed_shadow_graph(cycle(6))
@@ -173,3 +191,29 @@ class TestObservations:
         assert not b.failures or all("Spl(" in f for f in b.failures)
         assert any("alpha=0.3" in f for f in b.failures)
         assert not observations_report().all_passed
+
+    def test_one_report_makes_43_solves(self, monkeypatch):
+        solve, calls = spectra.sym_eigenvalues, []
+        monkeypatch.setattr(spectra, "sym_eigenvalues",
+                            lambda m: calls.append(1) or solve(m))
+        observations_report()
+        assert len(calls) == 43
+
+    def test_failure_lines_name_both_sides(self, monkeypatch):
+        both_sides = r"^\S+ vs \S+ alpha=[0-9.]+: gap \d\.\d{3}e[-+]\d+$"
+        rep = observations_report(tol=0.0)
+        for line in [line for b in rep.bullets[:5] for line in b.failures]:
+            assert re.match(both_sides, line), line
+        splitting = rep.bullets[5].failures
+        assert len(splitting) == 11
+        for line in splitting:
+            assert re.match(r"^Spl\([^)]+\) alpha=[0-9.]+: "
+                            r"energy \d+\.\d{4} <= reference \d+\.\d{4}$", line), line
+        # energies moved by 1e-3 per edge fail every check of the first five bullets
+        energies = analysis.alpha_energies
+        monkeypatch.setattr(analysis, "alpha_energies", lambda g, alphas: tuple(
+            e + 1e-3 * g.q for e in energies(g, alphas)))
+        for b in observations_report().bullets[:5]:
+            assert b.failures, b.key
+            for line in b.failures:
+                assert re.match(both_sides, line), line

@@ -98,6 +98,11 @@ class TestGenAndOp:
         assert rc == 0
         assert out2 == out
 
+    def test_file_with_byte_order_mark(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"\xef\xbb\xbf3 2\n0 1\n1 2\n")
+        assert run(capsys, "gen", f"file:{path}") == (0, "3 2\n0 1\n1 2\n", "")
+
     def test_file_bad_content(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 1\n1 1\n")

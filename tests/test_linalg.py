@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from alphaenergy import (AlphaValue, Spectrum, SymMatrix, a_alpha_exact,
+from alphaenergy import (AlphaValue, Spectrum, a_alpha_exact,
                          adjacency_matrix, alpha, charpoly_exact, complete,
                          complete_bipartite, cycle, make_spectrum,
                          multiset_deviation, path, petersen, poly_roots_real,
@@ -30,22 +30,26 @@ def _sym_random(rng: random.Random, n: int, span: float = 5.0) -> np.ndarray:
 
 
 class TestSymMatrix:
+    """The input checks of ``sym_eigenvalues``."""
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            SymMatrix(np.zeros((2, 3)))
+            sym_eigenvalues(np.zeros((2, 3)))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
-            SymMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            sym_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            SymMatrix(np.array([[np.nan]]))
+            sym_eigenvalues(np.array([[np.nan]]))
 
-    def test_data_is_read_only(self):
-        m = SymMatrix(np.eye(2))
-        with pytest.raises(ValueError):
-            m.data[0, 0] = 5.0
+    def test_rejects_eigenvalues_off_trace(self, monkeypatch):
+        # the bound is 1e-9 * n * max|entry| = 4e-9 here
+        monkeypatch.setattr(linalg, "_jacobi", lambda a: np.array([1.0, 2.0]))
+        assert sym_eigenvalues(np.diag([2.0, 1.0 + 3e-9])).values == (2.0, 1.0)
+        with pytest.raises(ValueError, match="off trace by 5.000e-09"):
+            sym_eigenvalues(np.diag([2.0, 1.0 + 5e-9]))
 
 
 class TestSpectrumHelpers:
@@ -53,11 +57,6 @@ class TestSpectrumHelpers:
         s = make_spectrum([0.5, 1.0, 1.0 + 1e-9])
         assert s.values[0] >= s.values[1] >= s.values[2]
         assert [count for _, count in s.groups] == [2, 1]
-
-    def test_make_spectrum_trace_check(self):
-        make_spectrum([1.0, 2.0], trace=3.0, scale=2.0)
-        with pytest.raises(ValueError, match="trace"):
-            make_spectrum([1.0, 2.0], trace=4.0, scale=2.0)
 
     def test_multiset_deviation(self):
         assert multiset_deviation([3.0, 1.0], [1.0, 3.0]) == 0.0
