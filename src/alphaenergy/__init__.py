@@ -2,7 +2,7 @@
 
 from .graphs import (Graph, DegreeInfo, EdgeListError, MAX_EDGES, MAX_VERTICES,
                      adjacency_matrix, complete, complete_bipartite, cycle,
-                     degree_info, is_connected, path, petersen,
+                     degree_info, path, petersen,
                      read_edge_list, write_edge_list)
 from .ops import (OpDescriptor, apply_op, central_graph, closed_shadow_graph,
                   closed_splitting_graph, duplicate_graph, ebd_graph,
@@ -27,7 +27,7 @@ from .analysis import (BulletResult, ClassificationResult, ObservationsReport,
 __all__ = [
     "Graph", "DegreeInfo", "EdgeListError", "MAX_EDGES", "MAX_VERTICES",
     "adjacency_matrix", "complete", "complete_bipartite", "cycle",
-    "degree_info", "is_connected", "path", "petersen", "read_edge_list",
+    "degree_info", "path", "petersen", "read_edge_list",
     "write_edge_list",
     "OpDescriptor", "apply_op", "central_graph", "closed_shadow_graph",
     "closed_splitting_graph", "duplicate_graph", "ebd_graph",

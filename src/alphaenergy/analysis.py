@@ -208,9 +208,10 @@ def observations_report(tol: float = DEFAULT_TOL) -> ObservationsReport:
             n = graphs[label].p
             for a, e in zip(weights(label), energies(label)):
                 ref = reference_energy(n, a)
-                if _verdict(e, ref, tol) != want:
+                got = _verdict(e, ref, tol)
+                if got != want:
                     fails.append(
-                        f"{label} alpha={a.numeric}: energy {e:.4f} <= reference {ref:.4f}"
+                        f"{label} alpha={a.numeric}: {got} (energy {e:.4f}, reference {ref:.4f})"
                         if want == "hyperenergetic" else
                         f"{label} vs K{n} alpha={a.numeric}: gap {abs(e - ref):.3e}")
         return fails

@@ -261,17 +261,19 @@ class VerificationRecord:
 def verify_closed_form(op: OpDescriptor | str, g: Graph, a: AlphaValue, tol: float = 1e-8,
                        base_id: Optional[str] = None) -> VerificationRecord:
     """Compare a closed-form spectrum against the numeric oracle, which always
-    runs, and the exact one (roots of the rational characteristic polynomial),
-    which runs if and only if ``a`` is exact (see ``AlphaValue.from_fraction``)
+    runs, and the exact one (roots of the rational characteristic polynomial,
+    isolated near the numeric spectrum where that is certified), which runs
+    if and only if ``a`` is exact (see ``AlphaValue.from_fraction``)
     and the operated graph has at most ``CHARPOLY_MAX_N`` vertices."""
     op, form = _lookup(op)
     b = RegularBase.from_graph(g)
     cf = form(b, op.param, a)
     operated = apply_op(op, g)
-    numeric_dev = multiset_deviation(cf.values, alpha_spectrum(operated, a).values)
+    numeric = alpha_spectrum(operated, a).values
+    numeric_dev = multiset_deviation(cf.values, numeric)
     dev, exact_dev = numeric_dev, None
     if a.exact is not None and operated.p <= CHARPOLY_MAX_N:
-        roots = poly_roots_real(charpoly_exact(*a_alpha_exact(operated, a)))
+        roots = poly_roots_real(charpoly_exact(*a_alpha_exact(operated, a)), numeric)
         exact_dev = multiset_deviation(cf.values, roots)
         dev = max(dev, exact_dev)
     return VerificationRecord(

@@ -113,10 +113,6 @@ def component_counts(g: Graph) -> tuple[int, int]:
     return components, bipartite
 
 
-def is_connected(g: Graph) -> bool:
-    return component_counts(g)[0] <= 1
-
-
 # ----------------------------------------------------------------------
 # standard families
 

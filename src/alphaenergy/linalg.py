@@ -6,13 +6,15 @@ Two independent routes to a spectrum live here on purpose:
   float64.
 * ``charpoly_exact`` + ``poly_roots_real`` stay in Python integers from
   an integer matrix N over a denominator d to the roots (Hessenberg
-  reduction mod primes below 2**28 with a CRT lift past a Hadamard bound,
-  then Yun square-free splitting, Sturm isolation from the smaller of
-  Cauchy's and Fujiwara's root bounds and quadratic interval refinement
-  at dyadic points m / 2**e) and touch floating point only when each
-  refined root is rounded to a float.
+  reduction mod primes below 2**28 with a CRT lift past prod_i (1 +
+  ||N_i||_2), root intervals certified by sign changes near numeric hints
+  or else found by Yun square-free splitting and Sturm isolation from the
+  smaller of Cauchy's and Fujiwara's root bounds, and quadratic interval
+  refinement at dyadic points m / 2**e) and touch floating point only
+  when each refined root is rounded to a float.
 
-Keep them independent; tests compare one against the other.
+Keep them independent; tests compare one against the other.  A hint only
+picks where the exact polynomial's sign is read: a wrong one costs time.
 """
 
 from __future__ import annotations
@@ -79,10 +81,10 @@ def multiset_deviation(xs: Sequence[float], ys: Sequence[float]) -> float:
 # ----------------------------------------------------------------------
 # cyclic Jacobi
 
-def _jacobi(a0: np.ndarray) -> np.ndarray:
-    a = np.array(a0, dtype=float)
+def _jacobi(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symmetric float64 array ``a``, which is overwritten."""
     n = a.shape[0]
-    target = JACOBI_REL_TOL * float(np.linalg.norm(a0))
+    target = JACOBI_REL_TOL * float(np.linalg.norm(a))
     if n == 1:
         return a.diagonal().copy()
     skip = target / (2 * n)   # elements below this cannot push off-norm past target
@@ -144,9 +146,10 @@ def sym_eigenvalues(m: np.ndarray) -> Spectrum:
     n = a.shape[0]
     if not 1 <= n <= SYM_EIG_MAX_N:
         raise ValueError(f"matrix dimension {n} outside 1..{SYM_EIG_MAX_N}")
-    spec = make_spectrum(_jacobi(a))
     tol = 1e-9 * n * float(np.abs(a).max())
-    err = abs(math.fsum(spec.values) - float(a.trace()))
+    trace = float(a.trace())
+    spec = make_spectrum(_jacobi(a))   # overwrites a
+    err = abs(math.fsum(spec.values) - trace)
     if err > tol:
         raise ValueError(f"eigenvalue sum off trace by {err:.3e} (tol {tol:.3e})")
     return spec
@@ -243,9 +246,9 @@ def charpoly_exact(mat: Sequence[Sequence[int]], d: int = 1) -> tuple[int, ...]:
     With det(xI - N) = sum_j c_j x**j, the result is c_j * d**j.  The c_j
     are computed mod primes below 2**28, counting down from 2**28 - 1, by
     reduction to Hessenberg form, and the residues are combined by CRT.
-    Each c_j is a signed sum of at most 2**n principal minors, each bounded
-    by Hadamard's inequality, so its size is at most
-    B = 2**n * prod_i max(1, ceil(||N_i||_2)) over the rows N_i.  Enough
+    Each c_j is a signed sum of principal minors of N.  By Hadamard's
+    inequality the minor on S is at most prod_(i in S) ||N_i||_2 over the
+    rows N_i, and over all S these sum to B = prod_i (1 + ceil(||N_i||_2)).  Enough
     primes are taken that their product exceeds 2B, so the symmetric
     residue is the integer c_j itself.  The primes are fixed and the
     reduction is a similarity over GF(p) for every prime, so the result is
@@ -264,10 +267,10 @@ def charpoly_exact(mat: Sequence[Sequence[int]], d: int = 1) -> tuple[int, ...]:
     if d < 1:
         raise ValueError(f"denominator must be at least 1, got {d}")
 
-    bound = 2 ** n
+    bound = 1
     for row in nmat:
         sq = sum(x * x for x in row)
-        bound *= math.isqrt(sq - 1) + 1 if sq else 1
+        bound *= 2 + math.isqrt(sq - 1) if sq else 1   # 1 + ceil(sqrt(sq))
     primes = _primes(-(-(2 * bound).bit_length() // 27))   # each exceeds 2**27
     modulus = math.prod(primes)
     try:
@@ -530,13 +533,36 @@ def _root_exponent(f: Sequence[int]) -> int:
     return min(cauchy, max(fujiwara, 0))
 
 
-def poly_roots_real(coeffs: Sequence[int]) -> list[float]:
+def _hinted_intervals(f: list[int], hints: Sequence[float]) -> list[tuple[int, int, int]] | None:
+    """deg(f) intervals (lo, hi, e) holding one root of f each, or None.
+
+    Hints less than ``GROUP_TOL`` apart form a group, widened by 1 to 2 steps
+    of 2**-27 on each side; groups are over 13 steps apart, so their intervals
+    are disjoint.  If deg(f) show a sign change, each holds exactly one root."""
+    if not all(abs(h) < 2.0 ** 60 for h in hints):   # also NaN and inf
+        return None
+    groups: list[list[float]] = []
+    for h in sorted(hints):
+        if groups and h - groups[-1][1] <= GROUP_TOL:
+            groups[-1][1] = h
+        else:
+            groups.append([h, h])
+    if len(groups) < len(f) - 1:
+        return None
+    ends = [(math.floor(lo * 2 ** 27) - 1, math.ceil(hi * 2 ** 27) + 1) for lo, hi in groups]
+    out = [(lo, hi, 27) for lo, hi in ends if _sign_at(f, lo, 27) * _sign_at(f, hi, 27) < 0]
+    return out if len(out) == len(f) - 1 else None
+
+
+def poly_roots_real(coeffs: Sequence[int], hints: Sequence[float] = ()) -> list[float]:
     """All real roots with multiplicity, descending, of the integer
     polynomial with ascending ``coeffs`` (read with ``operator.index``).
 
     Intended for polynomials known to have only real roots (e.g. the
     characteristic polynomial of a symmetric matrix); raises if any
-    square-free factor has fewer real roots than its degree.
+    square-free factor has fewer real roots than its degree.  Approximate
+    roots ``hints`` only save time: a polynomial, or else a square-free
+    factor, that ``_hinted_intervals`` certifies skips Sturm isolation.
     """
     coeffs = _strip([operator.index(c) for c in coeffs])
     if not coeffs:
@@ -547,19 +573,23 @@ def poly_roots_real(coeffs: Sequence[int]) -> list[float]:
     if f[-1] < 0:
         f = [-x for x in f]
     roots: list[float] = []
-    for factor, mult in _yun_squarefree(f):
+    whole = _hinted_intervals(f, hints)
+    for factor, mult in [(f, 1)] if whole else _yun_squarefree(f):
         deg = len(factor) - 1
         if deg == 1:
             roots.extend([-factor[0] / factor[1]] * mult)
             continue
-        chain = _sturm_chain(factor)
-        b = _root_exponent(factor)
-        lo, hi = -(1 << b), 1 << b
-        vlo, vhi = _variations(chain, lo, 0), _variations(chain, hi, 0)
-        if vlo - vhi != deg:
-            raise ArithmeticError(
-                f"factor of degree {deg} has only {vlo - vhi} real roots")
-        for interval in _isolate(factor, chain, lo, hi, 0, vlo, vhi):
+        intervals = whole or _hinted_intervals(factor, hints)
+        if intervals is None:
+            chain = _sturm_chain(factor)
+            b = _root_exponent(factor)
+            lo, hi = -(1 << b), 1 << b
+            vlo, vhi = _variations(chain, lo, 0), _variations(chain, hi, 0)
+            if vlo - vhi != deg:
+                raise ArithmeticError(
+                    f"factor of degree {deg} has only {vlo - vhi} real roots")
+            intervals = _isolate(factor, chain, lo, hi, 0, vlo, vhi)
+        for interval in intervals:
             roots.extend([_refine(factor, *interval)] * mult)
     roots.sort(reverse=True)
     if len(roots) != len(coeffs) - 1:

@@ -207,8 +207,12 @@ class TestObservations:
         splitting = rep.bullets[5].failures
         assert len(splitting) == 11
         for line in splitting:
-            assert re.match(r"^Spl\([^)]+\) alpha=[0-9.]+: "
-                            r"energy \d+\.\d{4} <= reference \d+\.\d{4}$", line), line
+            assert re.match(r"^Spl\([^)]+\) alpha=[0-9.]+: neither "
+                            r"\(energy \d+\.\d{4}, reference \d+\.\d{4}\)$", line), line
+        # within tol 2 of the reference, an energy above it is borderenergetic
+        splitting = observations_report(tol=2.0).bullets[5].failures
+        assert "Spl(C4) alpha=0.6: borderenergetic (energy 6.6105, reference 5.6000)" in splitting
+        assert not any("<=" in line for line in splitting)
         # energies moved by 1e-3 per edge fail every check of the first five bullets
         energies = analysis.alpha_energies
         monkeypatch.setattr(analysis, "alpha_energies", lambda g, alphas: tuple(

@@ -126,6 +126,22 @@ class TestSpectrum:
         assert rc == 0
         assert exact == plain
 
+    @pytest.mark.parametrize("source, want", [
+        ("op:middle:C6", "3.3204650534 1\n2.6256816492 2\n1.2517834424 2\n0.6000000000 1\n"
+                         "-0.1204650534 1\n-0.1256816492 2\n-0.1517834424 2\n-0.2000000000 1\n"),
+        ("op:central:petersen", "7.3364327681 1\n3.5652475842 4\n2.3930869690 5\n"
+                                "0.6000000000 5\n0.4347524158 4\n0.1635672319 1\n"
+                                "-0.4930869690 5\n"),
+        ("op:closed-splitting:C8", "4.2259406699 1\n3.5625705648 2\n1.9615773106 2\n"
+                                   "1.3062257748 1\n1.0544331248 2\n0.4384226894 2\n"
+                                   "0.3556173815 2\n-0.1726210711 2\n-0.3062257748 1\n"
+                                   "-0.4259406699 1\n"),
+    ])
+    def test_exact_output_is_pinned(self, capsys, source, want):
+        # --exact isolates roots without hints, so its bytes never depend
+        # on the numeric eigensolver
+        assert run(capsys, "spectrum", source, "--alpha", "0.3", "--exact") == (0, want, "")
+
     def test_exact_needs_rational_alpha(self, capsys):
         rc, _, err = run(capsys, "spectrum", "C4", "--alpha", "0.1234567890123457",
                          "--exact")

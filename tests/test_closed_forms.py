@@ -17,7 +17,7 @@ from alphaenergy import (CLOSED_FORMS, AlphaValue, RegularBase, alpha,
                          iterated_line_graph, multiset_deviation, parse_op,
                          path, petersen, shadow_graph, splitting_graph,
                          verify_closed_form)
-from alphaenergy import closed_forms, spectra
+from alphaenergy import closed_forms, linalg, spectra
 from alphaenergy.cli import main
 from alphaenergy.closed_forms import CLOSED_FORM_INSTANCES
 from conftest import corrupt_coefficient, printed_splitting_spectrum
@@ -236,6 +236,17 @@ def test_float_route_where_y_is_zero():
                 records += 1
     assert records == 200
     assert worst <= 1e-12
+
+
+def test_exact_oracle_isolates_near_the_numeric_spectrum(monkeypatch):
+    # every square-free factor is certified from the numeric spectrum
+    def no_sturm(f):
+        raise AssertionError("Sturm isolation ran")
+    monkeypatch.setattr(linalg, "_sturm_chain", no_sturm)
+    for op_text, g in (("middle", cycle(8)), ("central", petersen()),
+                       ("closed-splitting", complete_bipartite(3, 3))):
+        rec = verify_closed_form(op_text, g, alpha("0.3"))
+        assert rec.passed and rec.exact_dev is not None and rec.exact_dev < 1e-12
 
 
 def _counted_eigensolves(monkeypatch) -> list[int]:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from alphaenergy import (AlphaValue, Spectrum, a_alpha_exact,
+from alphaenergy import (AlphaValue, Spectrum, a_alpha_exact, a_alpha_matrix,
                          adjacency_matrix, alpha, charpoly_exact, complete,
                          complete_bipartite, cycle, make_spectrum,
                          multiset_deviation, path, petersen, poly_roots_real,
@@ -95,7 +95,7 @@ class TestJacobi:
 def _assert_near_lapack(a: np.ndarray) -> None:
     """Within 1e-12 * ||A||_F of LAPACK; a solve that does not converge in
     JACOBI_MAX_SWEEPS raises."""
-    got = np.sort(linalg._jacobi(a))
+    got = np.sort(linalg._jacobi(a.copy()))
     assert np.abs(got - np.linalg.eigvalsh(a)).max() <= 1e-12 * np.linalg.norm(a)
 
 
@@ -125,7 +125,7 @@ class TestThresholdJacobi:
             monkeypatch.setattr(linalg, "JACOBI_THRESHOLD_SWEEPS", threshold_sweeps)
             monkeypatch.setattr(linalg, "math", SimpleNamespace(
                 sqrt=lambda x: calls.append(x) or math.sqrt(x)))
-            linalg._jacobi(a)
+            linalg._jacobi(a.copy())
             return len(calls) // 2
 
         assert rotations(3) < 0.95 * rotations(0)
@@ -501,6 +501,102 @@ class TestRootIsolation:
         roots = poly_roots_real((-2, 0, 1))
         assert abs(roots[0] - math.sqrt(2)) < 1e-12
         assert abs(roots[1] + math.sqrt(2)) < 1e-12
+
+
+def _counted(monkeypatch, *names) -> dict[str, int]:
+    """Count the calls of the named ``linalg`` functions."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(linalg, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    return calls
+
+
+def _roots_and_hints(g) -> tuple[tuple[int, ...], list[float]]:
+    a = alpha("0.3")
+    return (charpoly_exact(*a_alpha_exact(g, a)),
+            list(sym_eigenvalues(a_alpha_matrix(g, a)).values))
+
+
+class TestHintedRoots:
+    """Numeric hints only choose where the exact polynomial's sign is read."""
+
+    @pytest.mark.parametrize("g", [path(7), complete_bipartite(2, 3)], ids=["P7", "K2,3"])
+    @pytest.mark.parametrize("spoil", [
+        lambda h: [x + 1e-3 for x in h],
+        lambda h: h[:-1],
+        lambda h: h[:1] + h[:-1],       # the largest root lost to a copy of its neighbour
+        lambda h: [],
+        lambda h: h[:-1] + [math.nan],
+        lambda h: h[:-1] + [math.inf],
+        lambda h: [math.nan] * len(h),
+    ], ids=["shifted", "too-few", "duplicated", "empty", "nan", "inf", "all-nan"])
+    def test_bad_hints_take_the_fallback(self, monkeypatch, g, spoil):
+        coeffs, hints = _roots_and_hints(g)
+        want = poly_roots_real(coeffs)
+        calls = _counted(monkeypatch, "_sturm_chain")
+        assert poly_roots_real(coeffs, spoil(hints)) == want
+        assert calls["_sturm_chain"] >= 1
+
+    def test_square_free_skips_yun_and_sturm(self, monkeypatch):
+        coeffs, hints = _roots_and_hints(path(7))
+        want = poly_roots_real(coeffs)
+        calls = _counted(monkeypatch, "_yun_squarefree", "_sturm_chain")
+        got = poly_roots_real(coeffs, hints)
+        assert calls == {"_yun_squarefree": 0, "_sturm_chain": 0}
+        assert multiset_deviation(got, want) <= 2.0 ** -43
+
+    def test_repeated_root_certifies_each_factor(self, monkeypatch):
+        # K2,3 at 0.3: a simple cubic factor and a double linear one
+        coeffs, hints = _roots_and_hints(complete_bipartite(2, 3))
+        want = poly_roots_real(coeffs)
+        calls = _counted(monkeypatch, "_yun_squarefree", "_sturm_chain")
+        got = poly_roots_real(coeffs, hints)
+        assert calls == {"_yun_squarefree": 1, "_sturm_chain": 0}
+        assert multiset_deviation(got, want) <= 2.0 ** -43
+
+    def test_hints_are_not_trusted(self, monkeypatch):
+        # hints at the roots of a different polynomial are refused by its signs
+        coeffs, _ = _roots_and_hints(path(7))
+        _, other = _roots_and_hints(cycle(7))
+        # and two roots 1e-12 apart share one group of hints
+        cluster = _from_roots(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 12), -3)
+        want = [poly_roots_real(coeffs), poly_roots_real(cluster)]
+        calls = _counted(monkeypatch, "_sturm_chain")
+        assert [poly_roots_real(coeffs, other),
+                poly_roots_real(cluster, [1 / 3, 1 / 3 + 1e-12, -3.0])] == want
+        assert calls["_sturm_chain"] == 2
+
+
+def _prime_count(bound: int) -> int:
+    return -(-(2 * bound).bit_length() // 27)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_principal_minor_bound(monkeypatch, seed):
+    """max |c_j| <= prod_i (1 + ceil(||N_i||_2)), which sizes the CRT and
+    never takes more primes than 2**n * prod_i max(1, ceil(||N_i||_2))."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    span = 2 ** 70 if seed % 3 == 2 else 50   # every third matrix past int64
+    rows = [[rng.randint(-span, span) for _ in range(n)] for _ in range(n)]
+    if seed == 0:   # a Hadamard matrix of order 8 meets Hadamard's bound: |det| = 8**4
+        rows = [[(-1) ** bin(i & j).count("1") for j in range(8)] for i in range(8)]
+    new, old = 1, 2 ** len(rows)
+    for row in rows:
+        norm = math.isqrt(sum(x * x for x in row) - 1) + 1 if any(row) else 0
+        new, old = new * (1 + norm), old * max(1, norm)
+    _assert_is_charpoly(rows)
+    counts = []
+    primes = linalg._primes
+    monkeypatch.setattr(linalg, "_primes", lambda k: counts.append(k) or primes(k))
+    coeffs = charpoly_exact(rows)
+    assert max(map(abs, coeffs)) <= new
+    assert counts == [_prime_count(new)] and counts[0] <= _prime_count(old)
 
 
 @st.composite
