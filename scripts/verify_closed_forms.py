@@ -20,7 +20,7 @@ from alphaenergy.closed_forms import (CLOSED_FORM_INSTANCES, closed_form_identit
                                       verify_closed_form)
 from alphaenergy.graphs import complete, complete_bipartite, cycle, petersen
 from alphaenergy.linalg import CHARPOLY_MAX_N
-from alphaenergy.ops import apply_op, parse_op
+from alphaenergy.ops import OPS, parse_op
 from alphaenergy.spectra import AlphaValue
 
 BASES = [("C%d" % n, cycle(n)) for n in range(3, 9)]
@@ -32,7 +32,8 @@ PROVED = "identity proved for every alpha"
 def prove(op: str, g) -> str:
     """The identity at a = t/n, t = 0..n: PROVED, "identity FAILED at a = ...",
     or "" when the operated graph is over CHARPOLY_MAX_N."""
-    n = apply_op(parse_op(op), g).p
+    desc = parse_op(op)
+    n, _ = OPS[desc.name].check(g, *desc.args)
     if n > CHARPOLY_MAX_N:
         return ""
     for t in range(n + 1):

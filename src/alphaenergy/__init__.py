@@ -13,10 +13,7 @@ from .linalg import (Spectrum, charpoly_exact, make_spectrum, multiset_deviation
 from .spectra import (AlphaValue, EnergyReport, a_alpha_exact, a_alpha_matrix,
                       alpha, alpha_energies, alpha_energy, alpha_spectrum)
 from .closed_forms import (CLOSED_FORMS, ClosedForm, RegularBase,
-                           VerificationRecord, cf_central_spectrum,
-                           cf_closed_shadow_spectrum, cf_closed_splitting_spectrum,
-                           cf_ebd_spectrum, cf_middle_spectrum,
-                           cf_remark_energies, cf_splitting_spectrum,
+                           VerificationRecord, cf_remark_energies,
                            closed_form_identity, verify_closed_form)
 from .analysis import (BulletResult, ClassificationResult, ObservationsReport,
                        SweepTable, classify, energy_report_json, format_csv,
@@ -38,9 +35,7 @@ __all__ = [
     "AlphaValue", "EnergyReport", "a_alpha_exact", "a_alpha_matrix",
     "alpha", "alpha_energies", "alpha_energy", "alpha_spectrum",
     "CLOSED_FORMS", "ClosedForm", "RegularBase", "VerificationRecord",
-    "cf_central_spectrum", "cf_closed_shadow_spectrum",
-    "cf_closed_splitting_spectrum", "cf_ebd_spectrum",
-    "cf_middle_spectrum", "cf_remark_energies", "cf_splitting_spectrum",
+    "cf_remark_energies",
     "closed_form_identity", "verify_closed_form",
     "BulletResult", "ClassificationResult", "ObservationsReport",
     "SweepTable", "classify", "energy_report_json", "format_csv",

@@ -99,7 +99,7 @@ def parse_graph_source(text: str, ops: Sequence[OpDescriptor] = ()) -> tuple[str
         with _usage():
             if ops:
                 op = ops[-1]
-                OPS[op.name].check_counts(*counts, *(() if op.param is None else (op.param,)))
+                OPS[op.name].check_counts(*counts, *op.args)
             g = build()
     with _usage():
         for op in reversed(ops):
@@ -175,17 +175,18 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _measurable(label: str, g: Graph) -> tuple[str, Graph]:
-    """Reject, before any work, a graph the numeric eigensolver cannot take."""
-    if not 1 <= g.p <= SYM_EIG_MAX_N:
-        raise UsageError(f"{label} has {g.p} vertices; numeric commands "
+def _measurable(label: str, n: int) -> None:
+    """Reject, before any work, an order the numeric eigensolver cannot take."""
+    if not 1 <= n <= SYM_EIG_MAX_N:
+        raise UsageError(f"{label} has {n} vertices; numeric commands "
                          f"need 1..{SYM_EIG_MAX_N}")
-    return label, g
 
 
 def _numeric_source(text: str) -> tuple[str, Graph]:
     """A source for a numeric command: parsed, built and measurable."""
-    return _measurable(*parse_graph_source(text))
+    label, g = parse_graph_source(text)
+    _measurable(label, g.p)
+    return label, g
 
 
 def _cmd_gen(args) -> int:
@@ -239,8 +240,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     op, (label, g) = args.operation, args.source
     with _usage():
-        operated = apply_op(op, g)
-    _measurable(f"op:{op_label(op)}:{label}", operated)
+        n, _ = OPS[op.name].check(g, *op.args)
+    _measurable(f"op:{op_label(op)}:{label}", n)
     ok = True
     for a in args.alphas:
         with _usage():

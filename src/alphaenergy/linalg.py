@@ -23,7 +23,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,6 +47,9 @@ class Spectrum:
 
 
 def _cluster(values: Sequence[float], tol: float) -> tuple[tuple[float, int], ...]:
+    """(representative, count) groups of non-increasing ``values``.  A group is
+    every value within ``tol`` of its first, largest member, its representative:
+    anchored, not chained, so each member is within ``tol`` of the value shown."""
     groups: list[tuple[float, int]] = []
     rep, count = None, 0
     for v in values:
@@ -299,16 +302,9 @@ def _strip(c: list[int]) -> list[int]:
     return c
 
 
-def _content(c: Sequence[int]) -> int:
-    g = 0
-    for x in c:
-        g = math.gcd(g, x)
-    return g or 1
-
-
 def _primitive(c: Sequence[int]) -> list[int]:
     """Divide by positive content; sign of leading coefficient is kept."""
-    g = _content(c)
+    g = math.gcd(*c) or 1
     return [x // g for x in c]
 
 
@@ -323,12 +319,11 @@ def _pseudo_rem(u: Sequence[int], v: Sequence[int]) -> tuple[list[int], int]:
     sign = sign(lc(v)^k), so that sign*r has the sign of the true
     rational remainder.
     """
-    r = list(u)
+    r = _strip(list(u))
     dv = len(v) - 1
     lv = v[-1]
     sign = 1
-    while len(_strip(r)) - 1 >= dv and r:
-        r = _strip(r)
+    while len(r) - 1 >= dv:
         k = len(r) - 1 - dv
         lead = r[-1]
         r = [lv * x for x in r]
@@ -336,22 +331,30 @@ def _pseudo_rem(u: Sequence[int], v: Sequence[int]) -> tuple[list[int], int]:
             r[k + idx] -= lead * v[idx]
         if lv < 0:
             sign = -sign
-        r = _strip(r)
-        if not r:
-            break
+        _strip(r)
     return r, sign
 
 
+def _remainder_sequence(u: list[int], v: list[int]) -> Iterator[list[int]]:
+    """The signed primitive remainder sequence of (u, v) up to its last
+    non-zero term: u, the primitive part of v, then the primitive part of
+    each pseudo-remainder, with the sign of minus the true remainder.  Only
+    the last two terms are held."""
+    yield u
+    prev, r, sign = u, v, -1
+    while r:
+        cur = [-sign * x for x in _primitive(r)]
+        yield cur
+        r, sign = _pseudo_rem(prev, cur)
+        prev = cur
+
+
 def _gcd_int(u: Sequence[int], v: Sequence[int]) -> list[int]:
-    a = _strip(list(u))
-    b = _strip(list(v))
-    while b:
-        r, _ = _pseudo_rem(a, b)
-        a, b = b, _primitive(_strip(r)) if r else []
-    a = _primitive(a)
-    if a and a[-1] < 0:
-        a = [-x for x in a]
-    return a
+    """gcd(u, v), primitive with a positive leading coefficient ([] if both are 0)."""
+    for last in _remainder_sequence(_strip(list(u)), _strip(list(v))):
+        pass
+    a = _primitive(last)
+    return [-x for x in a] if a and a[-1] < 0 else a
 
 
 def _div_exact(u: Sequence[int], v: Sequence[int]) -> list[int]:
@@ -425,14 +428,9 @@ def _sign_at(c: Sequence[int], m: int, e: int) -> int:
 
 
 def _sturm_chain(f: list[int]) -> list[list[int]]:
-    chain = [list(f), _primitive(_deriv_int(f))]
-    while len(chain[-1]) - 1 > 0:
-        r, sign = _pseudo_rem(chain[-2], chain[-1])
-        r = _strip(r)
-        if not r:
-            raise ArithmeticError("Sturm chain hit a zero remainder (input not square-free)")
-        nxt = [-sign * x for x in _primitive(r)]
-        chain.append(nxt)
+    chain = list(_remainder_sequence(list(f), _deriv_int(f)))
+    if len(chain[-1]) > 1:
+        raise ArithmeticError("Sturm chain hit a zero remainder (input not square-free)")
     return chain
 
 
@@ -537,8 +535,10 @@ def _hinted_intervals(f: list[int], hints: Sequence[float]) -> list[tuple[int, i
     """deg(f) intervals (lo, hi, e) holding one root of f each, or None.
 
     Hints less than ``GROUP_TOL`` apart form a group, widened by 1 to 2 steps
-    of 2**-27 on each side; groups are over 13 steps apart, so their intervals
-    are disjoint.  If deg(f) show a sign change, each holds exactly one root."""
+    of 2**-27 on each side.  Unlike ``_cluster``'s, groups chain neighbours, so
+    one may span more than ``GROUP_TOL``, but groups are over 13 steps apart and
+    their intervals are disjoint.  If deg(f) show a sign change, each holds
+    exactly one root."""
     if not all(abs(h) < 2.0 ** 60 for h in hints):   # also NaN and inf
         return None
     groups: list[list[float]] = []

@@ -25,13 +25,13 @@ def _joined_copies(g: Graph, k: int, joined: Iterable[tuple[int, int]],
     """k copies of g, with copies joined along edges and vertex to vertex.
 
     A pair (i, j) in ``joined`` adds i*p+u ~ j*p+v and i*p+v ~ j*p+u for
-    every edge uv ((i, i) keeps copy i's own edges), one in ``matched``
-    i*p+v ~ j*p+v for every vertex v.  ``joined`` may be lazy, and is not
-    read if g has no edge.
+    every edge uv ((i, i) keeps copy i's own edges, each once), one in
+    ``matched`` i*p+v ~ j*p+v for every vertex v.  ``joined`` may be lazy,
+    and is not read if g has no edge.
     """
     p = g.p
     edges = [(i * p + x, j * p + y) for i, j in (joined if g.edges else ())
-             for u, v in g.edges for x, y in ((u, v), (v, u))]
+             for u, v in g.edges for x, y in ((u, v), (v, u))[:1 + (i != j)]]
     edges += [(i * p + v, j * p + v) for i, j in matched for v in range(p)]
     return Graph(p * k, tuple(edges))
 
@@ -132,17 +132,21 @@ class _Op(NamedTuple):
     build: Callable[..., Graph]           # build(g) or build(g, param)
     valid: Optional[Callable[[int], None]] = None  # valid(param) rejects one out of range
 
-    def check(self, g: Graph, *param: int) -> None:
-        """Check the parameter, then the result's size, before it is built."""
-        self.check_counts(g.p, g.q, sum(d * (d - 1) // 2 for d in degree_info(g).degrees),
-                          *param)
+    def check(self, g: Graph, *param: int) -> tuple[int, int]:
+        """Check the parameter, then the result's size, before it is built;
+        return that (p, q).  It is one application's: for line:k, k >= 2,
+        the first level's, since line is checked level by level."""
+        return self.check_counts(g.p, g.q, sum(d * (d - 1) // 2 for d in degree_info(g).degrees),
+                                 *param)
 
-    def check_counts(self, p: int, q: int, s: int, *param: int) -> None:
+    def check_counts(self, p: int, q: int, s: int, *param: int) -> tuple[int, int]:
         """The same check from the argument's p, q and s, the number of pairs
         of its edges that share an end: the sum of C(d, 2) over its degrees."""
         if param:
             self.valid(*param)
-        check_size(*self.size(p, q, s, *param), self.result)
+        size = self.size(p, q, s, *param)
+        check_size(*size, self.result)
+        return size
 
 
 # The one list of operations: name -> parameter letter, size, builder and the
@@ -188,6 +192,11 @@ class OpDescriptor:
         if (OPS[self.name].param is None) != (self.param is None):
             raise ValueError(f"operation {self.name!r} takes the form '{_usage(self.name)}'")
 
+    @property
+    def args(self) -> tuple[int, ...]:
+        """The parameter as the builders and checks take it: () or (param,)."""
+        return () if self.param is None else (self.param,)
+
 
 def _usage(name: str) -> str:
     return name if OPS[name].param is None else f"{name}:<{OPS[name].param}>"
@@ -222,5 +231,4 @@ def op_label(op: OpDescriptor) -> str:
 
 
 def apply_op(op: OpDescriptor, g: Graph) -> Graph:
-    build = OPS[op.name].build
-    return build(g) if op.param is None else build(g, op.param)
+    return OPS[op.name].build(g, *op.args)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphaenergy import cli, closed_forms
+from alphaenergy import cli, closed_forms, ops
 from alphaenergy.cli import (MAX_GRID_POINTS, _parse_alpha_grid, main,
                              parse_graph_source, UsageError)
 from alphaenergy.closed_forms import verify_closed_form
@@ -392,6 +392,24 @@ class TestUsageContract:
         rc, _, err = run(capsys, "verify", "ebd", "C1001")
         assert rc == 2
         assert "2002 vertices" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "middle", "K63"),
+         "op:middle:K63 has 2016 vertices; numeric commands need 1..2000"),
+        (("verify", "ebd", "C1001"),
+         "op:ebd:C1001 has 2002 vertices; numeric commands need 1..2000"),
+        (("verify", "splitting:0", "C6"), "splitting needs m >= 1, got 0"),
+        (("verify", "closed-shadow", "K513"), "closed shadow result would exceed 524288 edges"),
+    ], ids=["middle-K63", "ebd-C1001", "splitting-0", "closed-shadow-K513"])
+    def test_verify_sizes_the_operated_graph_without_building_it(self, capsys, monkeypatch,
+                                                                argv, message):
+        def no_build(*args, **kwargs):
+            raise AssertionError("operated graph built")
+        for name, op in list(OPS.items()):
+            monkeypatch.setitem(OPS, name, op._replace(build=no_build))
+        monkeypatch.setattr(ops, "apply_op", no_build)
+        monkeypatch.setattr(cli, "apply_op", no_build)
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv", [
         ("spectrum", "X5", "--alpha", "0.5"), ("spectrum", "--alpha", "0.5", "X5"),

@@ -8,10 +8,7 @@ import math
 import pytest
 
 from alphaenergy import (CLOSED_FORMS, AlphaValue, RegularBase, alpha,
-                         alpha_energy, alpha_spectrum, cf_central_spectrum,
-                         cf_closed_shadow_spectrum, cf_closed_splitting_spectrum,
-                         cf_ebd_spectrum, cf_middle_spectrum,
-                         cf_remark_energies, cf_splitting_spectrum,
+                         alpha_energy, alpha_spectrum, cf_remark_energies,
                          closed_form_identity, closed_splitting_graph,
                          complete, complete_bipartite, cycle, duplicate_graph,
                          iterated_line_graph, multiset_deviation, parse_op,
@@ -19,7 +16,10 @@ from alphaenergy import (CLOSED_FORMS, AlphaValue, RegularBase, alpha,
                          verify_closed_form)
 from alphaenergy import closed_forms, linalg, spectra
 from alphaenergy.cli import main
-from alphaenergy.closed_forms import CLOSED_FORM_INSTANCES
+from alphaenergy.closed_forms import (CLOSED_FORM_INSTANCES, cf_central_spectrum,
+                                      cf_closed_shadow_spectrum,
+                                      cf_closed_splitting_spectrum, cf_ebd_spectrum,
+                                      cf_middle_spectrum, cf_splitting_spectrum)
 from conftest import corrupt_coefficient, printed_splitting_spectrum
 
 SQ2 = math.sqrt(2.0)
@@ -66,27 +66,27 @@ class TestRegularBase:
 class TestFrozenSpectra:
     def test_middle_c4_adjacency(self):
         # q = p, so no repeated value; pairs from lambda in {2, 0, 0, -2}
-        got = cf_middle_spectrum(RegularBase.from_graph(cycle(4)), alpha("0"))
+        got = CLOSED_FORMS["middle"](RegularBase.from_graph(cycle(4)), None, alpha("0"))
         want = sorted([1 + SQ5, 1 - SQ5, SQ2, -SQ2, SQ2, -SQ2, 0.0, -2.0],
                       reverse=True)
         assert multiset_deviation(got.values, want) < 1e-12
 
     def test_central_k4_adjacency(self):
-        got = cf_central_spectrum(RegularBase.from_graph(complete(4)), alpha("0"))
+        got = CLOSED_FORMS["central"](RegularBase.from_graph(complete(4)), None, alpha("0"))
         want = sorted([SQ6, -SQ6, SQ2, -SQ2, SQ2, -SQ2, SQ2, -SQ2, 0.0, 0.0],
                       reverse=True)
         assert multiset_deviation(got.values, want) < 1e-12
 
     def test_splitting_repeated_value(self):
         b = RegularBase.from_graph(cycle(4))
-        got = cf_splitting_spectrum(b, 3, alpha("0.5"))
+        got = CLOSED_FORMS["splitting"](b, 3, alpha("0.5"))
         assert len(got.values) == 16
         # repeated a*r with multiplicity p*(m-1)
         assert sum(1 for v in got.values if abs(v - 1.0) < 1e-12) >= 8
 
     def test_ebd_energy_c6_at_half(self):
         b = RegularBase.from_graph(cycle(6))
-        spec = cf_ebd_spectrum(b, alpha("0.5"))
+        spec = CLOSED_FORMS["ebd"](b, None, alpha("0.5"))
         offset = 2 * 0.5 * (2 * b.q + b.p) / (2 * b.p)
         energy = math.fsum(abs(v - offset) for v in spec.values)
         assert energy == pytest.approx(8.0)
@@ -96,15 +96,15 @@ class TestPreconditions:
     def test_middle_needs_r2(self):
         b = RegularBase.from_graph(complete(2))
         with pytest.raises(ValueError, match="r >= 2"):
-            cf_middle_spectrum(b, alpha("0"))
+            CLOSED_FORMS["middle"](b, None, alpha("0"))
 
     def test_central_needs_r2_and_connected(self):
         with pytest.raises(ValueError, match="r >= 2"):
-            cf_central_spectrum(RegularBase.from_graph(complete(2)), alpha("0"))
+            CLOSED_FORMS["central"](RegularBase.from_graph(complete(2)), None, alpha("0"))
         two_squares = duplicate_graph(cycle(4), 1)
         assert RegularBase.from_graph(two_squares).r == 2
         with pytest.raises(ValueError, match="connected"):
-            cf_central_spectrum(RegularBase.from_graph(two_squares), alpha("0"))
+            CLOSED_FORMS["central"](RegularBase.from_graph(two_squares), None, alpha("0"))
 
     def test_verify_rejects_irregular_base(self):
         with pytest.raises(ValueError, match="regular"):
@@ -203,7 +203,8 @@ class TestVerification:
 
     @pytest.mark.parametrize("op_text", CLOSED_FORM_INSTANCES)
     def test_private_dispatch_name_matches_public_callers(self, op_text):
-        # perfbench's verify check calls the registry by its former private name
+        # perfbench's verify check calls the registry by its former private
+        # name, and its tracer wraps the cf_* functions in closed_forms
         public = {"middle": cf_middle_spectrum, "central": cf_central_spectrum,
                   "closed-splitting": cf_closed_splitting_spectrum,
                   "closed-shadow": cf_closed_shadow_spectrum, "ebd": cf_ebd_spectrum}

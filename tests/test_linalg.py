@@ -58,6 +58,22 @@ class TestSpectrumHelpers:
         assert s.values[0] >= s.values[1] >= s.values[2]
         assert [count for _, count in s.groups] == [2, 1]
 
+    def test_groups_are_anchored_at_their_largest_value(self):
+        # by design: a group is every value within GROUP_TOL of its first,
+        # largest member, which is the value printed for it, so 0.0 starts
+        # a new group although it is as close to 0.9e-7 as 1.8e-7 is
+        assert make_spectrum([0.0, 0.9e-7, 1.8e-7]).groups == ((1.8e-7, 2), (0.0, 1))
+        assert make_spectrum([0.0, 0.9e-7]).groups == ((0.9e-7, 2),)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=30),
+           st.floats(1e-9, 3e-7))
+    def test_every_value_lies_within_group_tol_of_its_representative(self, ks, step):
+        spec = make_spectrum([k * step for k in ks])
+        reps = [rep for rep, count in spec.groups for _ in range(count)]
+        assert len(reps) == len(spec.values)
+        assert all(abs(v - rep) <= linalg.GROUP_TOL for v, rep in zip(spec.values, reps))
+
     def test_multiset_deviation(self):
         assert multiset_deviation([3.0, 1.0], [1.0, 3.0]) == 0.0
         assert multiset_deviation([0.0, 2.0], [0.5, 2.0]) == 0.5
@@ -570,6 +586,50 @@ class TestHintedRoots:
         assert [poly_roots_real(coeffs, other),
                 poly_roots_real(cluster, [1 / 3, 1 / 3 + 1e-12, -3.0])] == want
         assert calls["_sturm_chain"] == 2
+
+    def test_hint_chains_wider_than_group_tol_give_disjoint_intervals(self):
+        # roots 3e-7 apart, each hinted by a chain of members 0.9e-7 apart
+        # that spans up to 1.8e-7: chaining makes one group per root, and
+        # the groups' intervals do not meet
+        f = list(_from_roots(*(Fraction(30 * k, 10 ** 8) for k in range(5))))
+        hints = [k * 3e-7 + j * 0.9e-7 for k in range(5) for j in range(1 + k % 3)]
+        intervals = linalg._hinted_intervals(f, hints)
+        assert intervals is not None and len(intervals) == 5
+        assert max(hi - lo for lo, hi, _ in intervals) > linalg.GROUP_TOL * 2 ** 27
+        ends = sorted((lo, hi) for lo, hi, _ in intervals)
+        assert all(hi < lo for (_, hi), (lo, _) in zip(ends, ends[1:]))
+
+
+class TestRemainderSequence:
+    """gcd and Sturm read one signed primitive remainder sequence."""
+
+    @pytest.mark.parametrize("mults", [
+        {2: 3, -1: 1}, {0: 2, 3: 2, -4: 1}, {1: 4}, {5: 1, 1: 1, -2: 1},
+        {Fraction(1, 3): 2, Fraction(-7, 2): 3, 6: 1}])
+    @pytest.mark.parametrize("scale", [1, 6, -10])
+    def test_gcd_with_the_derivative(self, mults, scale):
+        # gcd(f, f') = prod (x - r)**(m - 1), primitive with a positive lead
+        f = [scale * c for c in _from_roots(*(r for r, m in mults.items() for _ in range(m)))]
+        want = list(_from_roots(*(r for r, m in mults.items() for _ in range(m - 1))))
+        assert linalg._gcd_int(f, linalg._deriv_int(f)) == want
+
+    def test_gcd_of_a_constant_and_with_zero(self):
+        assert linalg._gcd_int([6, -5, 1], [4]) == [1]
+        assert linalg._gcd_int([-6, 3, 0], [0, 0]) == [-2, 1]
+        assert linalg._gcd_int([6, -3], []) == [-2, 1]
+        assert linalg._gcd_int([], [4, -2]) == [-2, 1]
+        assert linalg._gcd_int([0], []) == []
+
+    def test_sturm_chain_refuses_a_repeated_root(self):
+        with pytest.raises(ArithmeticError,
+                           match=r"^Sturm chain hit a zero remainder \(input not square-free\)$"):
+            linalg._sturm_chain(list(_from_roots(1, 1, 2)))
+
+    def test_sturm_chain_is_the_sequence_of_f_and_its_derivative(self):
+        f = list(_from_roots(*range(-3, 4)))
+        chain = linalg._sturm_chain(f)
+        assert chain[:2] == [f, linalg._primitive(linalg._deriv_int(f))]
+        assert len(chain[-1]) == 1 and len(chain) == len(f)
 
 
 def _prime_count(bound: int) -> int:

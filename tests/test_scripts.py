@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from alphaenergy import closed_forms
 from alphaenergy.closed_forms import CLOSED_FORM_INSTANCES
+from alphaenergy.graphs import complete, cycle
 from alphaenergy.linalg import CHARPOLY_MAX_N
-from alphaenergy.ops import apply_op, parse_op
+from alphaenergy.ops import OPS, apply_op, parse_op
 
 
 
@@ -54,6 +56,19 @@ def test_verify_battery_passes(capsys):
             assert line.endswith(", " + verify_script.PROVED), line
             proved += 1
     assert proved and sum(x.endswith(verify_script.PROVED) for x in lines) == proved
+
+
+def test_prove_sizes_the_operated_graph_from_the_operation_table(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("operated graph built")
+    with monkeypatch.context() as m:
+        for name, op in list(OPS.items()):
+            m.setitem(OPS, name, op._replace(build=no_build))
+        assert verify_script.prove("middle", complete(12)) == ""   # 78 vertices
+    calls = []
+    monkeypatch.setattr(closed_forms, "apply_op", lambda op, g: calls.append(op) or apply_op(op, g))
+    assert verify_script.prove("ebd", cycle(5)) == verify_script.PROVED
+    assert len(calls) == 11     # one per identity, at a = t/10
 
 
 @pytest.mark.parametrize("script, argv, message", [
