@@ -27,7 +27,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .analysis import (format_csv, format_table_json, energy_report_json,
                        classify, sweep_table, table1)
@@ -182,11 +182,31 @@ def _measurable(label: str, n: int) -> None:
                          f"need 1..{SYM_EIG_MAX_N}")
 
 
-def _numeric_source(text: str) -> tuple[str, Graph]:
-    """A source for a numeric command: parsed, built and measurable."""
-    label, g = parse_graph_source(text)
-    _measurable(label, g.p)
-    return label, g
+def _numeric_source(text: str, op: Optional[OpDescriptor] = None) -> tuple[str, Graph]:
+    """A source for a numeric command: parsed, measurable and built.  With
+    ``op`` (verify's operation), the operated order must be measurable too.
+    A family, and ``op`` on it, are sized from the family's counts before it
+    is built; a file or ``op:`` source is built first."""
+    family = not text.startswith(("op:", "file:"))
+    if family:
+        build, counts = _family(text)
+    else:
+        text, g = parse_graph_source(text)
+    _measurable(text, counts[0] if family else g.p)
+    if op is not None:
+        with _usage():
+            n, _ = (OPS[op.name].check_counts(*counts, *op.args) if family
+                    else OPS[op.name].check(g, *op.args))
+        _measurable(f"op:{op_label(op)}:{text}", n)
+    return text, build() if family else g
+
+
+class _OperatedSource(argparse.Action):
+    """verify's source, checked with its operation, which argparse has already
+    converted: it converts positionals in argv order."""
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        setattr(namespace, self.dest, _numeric_source(text, namespace.operation))
 
 
 def _cmd_gen(args) -> int:
@@ -239,9 +259,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     op, (label, g) = args.operation, args.source
-    with _usage():
-        n, _ = OPS[op.name].check(g, *op.args)
-    _measurable(f"op:{op_label(op)}:{label}", n)
     ok = True
     for a in args.alphas:
         with _usage():
@@ -302,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="closed form vs. numeric spectrum")
     p.add_argument("operation", type=_closed_form_op)
-    p.add_argument("source", type=_numeric_source)
+    p.add_argument("source", action=_OperatedSource)
     p.add_argument("--alphas", type=_parse_alpha_grid, default="0:0.75:0.25",
                    help="grid lo:hi:step")
     p.add_argument("--tol", type=_tolerance, default=1e-8)

@@ -11,8 +11,9 @@ the block exactly, from the base's adjacency matrix, with no eigenvalue.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Mapping, NamedTuple, Optional
 
@@ -29,29 +30,33 @@ BASE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class RegularBase:
-    """Regular graph summary: order, size, degree, adjacency spectrum."""
+    """Regular graph summary; its adjacency spectrum is solved when first read."""
 
     p: int
     q: int
     r: int
-    base_spectrum: tuple[float, ...]   # non-increasing; r and -r exact
-    connected: bool = True
+    connected: bool
+    graph: Graph = field(repr=False, compare=False)
 
     @classmethod
     def from_graph(cls, g: Graph) -> "RegularBase":
         r = degree_info(g).regular
         if r is None:
             raise ValueError("base graph must be regular")
+        return cls(g.p, g.q, r, component_counts(g)[0] == 1, g)
+
+    @functools.cached_property
+    def base_spectrum(self) -> tuple[float, ...]:   # non-increasing; r and -r exact
         # r is an eigenvalue once per component, -r once per bipartite component;
         # pin both, or sqrt(lambda + r) in the closed forms magnifies noise at -r.
-        spec = list(sym_eigenvalues(adjacency_matrix(g)).values)
-        components, bipartite = component_counts(g)
+        spec = list(sym_eigenvalues(adjacency_matrix(self.graph)).values)
+        components, bipartite = component_counts(self.graph)
         for i in [*range(components), *range(len(spec) - bipartite, len(spec))]:
-            want = r if i < components else -r
+            want = self.r if i < components else -self.r
             if abs(spec[i] - want) > BASE_TOL:
                 raise ValueError(f"adjacency eigenvalue {spec[i]!r} should be {want}")
             spec[i] = float(want)
-        return cls(g.p, g.q, r, tuple(spec), connected=components == 1)
+        return tuple(spec)
 
 
 def _pair(x: float, y: float, z: float) -> tuple[float, float]:
@@ -204,15 +209,14 @@ def cf_remark_energies(b: RegularBase, op: OpDescriptor | str, a: AlphaValue) ->
     if a.numeric >= 1.0:
         raise ValueError("energy identities hold for alpha < 1 only")
     w = 1.0 - a.numeric
-    base_energy = math.fsum(abs(v) for v in b.base_spectrum)
     if op.name == "shadow":
         if op.param < 2:
             raise ValueError("shadow energy identity needs m >= 2")
-        return op.param * w * base_energy
+        return op.param * w * math.fsum(abs(v) for v in b.base_spectrum)
     if op.name == "duplicate":
         if op.param < 1:
             raise ValueError("duplicate energy identity needs m >= 1")
-        return (2 ** op.param) * w * base_energy
+        return (2 ** op.param) * w * math.fsum(abs(v) for v in b.base_spectrum)
     if op.name == "line":
         k = op.param
         if k < 2:
@@ -261,8 +265,8 @@ class VerificationRecord:
 def verify_closed_form(op: OpDescriptor | str, g: Graph, a: AlphaValue, tol: float = 1e-8,
                        base_id: Optional[str] = None) -> VerificationRecord:
     """Compare a closed-form spectrum against the numeric oracle, which always
-    runs, and the exact one (roots of the rational characteristic polynomial,
-    isolated near the numeric spectrum where that is certified), which runs
+    runs, and the exact one (roots of the integer det(d*x*I - N), isolated
+    near the numeric spectrum where that is certified), which runs
     if and only if ``a`` is exact (see ``AlphaValue.from_fraction``)
     and the operated graph has at most ``CHARPOLY_MAX_N`` vertices."""
     op, form = _lookup(op)
@@ -293,13 +297,9 @@ def closed_form_identity(op: OpDescriptor | str, g: Graph, a: AlphaValue) -> boo
     op, form = _lookup(op)
     if a.exact is None:
         raise ValueError("the identity needs a rational alpha")
-    r = degree_info(g).regular
-    if r is None:
-        raise ValueError("base graph must be regular")
-    got = charpoly_exact(*a_alpha_exact(apply_op(op, g), a))   # det(d*x*I - N)
-    shape = RegularBase(g.p, g.q, r, (), component_counts(g)[0] == 1)   # no spectrum
     c = {name: Fraction(v) for name, v in form.coeffs.items()}
-    k = form.block(c, a.exact, 1 - a.exact, shape, op.param)
+    k = form.block(c, a.exact, 1 - a.exact, RegularBase.from_graph(g), op.param)
+    got = charpoly_exact(*a_alpha_exact(apply_op(op, g), a))   # det(d*x*I - N)
     g2, l0, l1, e = k.y2
     y2 = [g2]
     for _ in range(e):   # g2*(l0 + l1*t)**e, ascending in t

@@ -308,10 +308,15 @@ class TestVerify:
         rec = verify_closed_form("ebd", cycle(4), a)
         assert rec.passed and rec.exact_dev is not None
 
-    def test_precondition_violation_is_usage_error(self, capsys):
+    def test_precondition_violation_is_usage_error(self, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigensolve ran")
+        monkeypatch.setattr(closed_forms, "sym_eigenvalues", no_solve)   # refused first
         rc, _, err = run(capsys, "verify", "middle", "K2")
         assert rc == 2
         assert "r >= 2" in err
+        assert run(capsys, "verify", "central", "op:duplicate:1:C8") == (
+            2, "", "error: central closed form needs a connected base\n")
 
     def test_no_closed_form(self, capsys):
         rc, _, err = run(capsys, "verify", "line:2", "K4")
@@ -465,7 +470,9 @@ class TestUsageContract:
         (("gen", "op:line:1:K1000"), "line graph would exceed 4096 vertices"),
         (("op", "splitting:1", "K640"), "splitting result would exceed 524288 edges"),
         (("op", "central", "K1000"), "central graph would exceed 4096 vertices"),
-        (("op", "duplicate:13", "K1000"), "duplication result would exceed 4096 vertices")])
+        (("op", "duplicate:13", "K1000"), "duplication result would exceed 4096 vertices"),
+        (("verify", "closed-shadow", "K1000"), "closed shadow result would exceed 524288 edges"),
+        (("verify", "ebd", "K1000"), "extended bipartite double would exceed 524288 edges")])
     def test_operation_on_family_sized_before_the_family(self, capsys, argv, message):
         # each family here is valid, and large: it is sized, not built
         tracemalloc.start()
@@ -481,7 +488,9 @@ class TestUsageContract:
         (("gen", "op:splitting:0:C2"), "cycle needs n >= 3, got 2"),
         (("op", "shadow:1", "K2000"), "edge count 1999000 exceeds cap 524288"),
         (("gen", "op:shadow:1:K4"), "shadow needs m >= 2, got 1"),
-        (("op", "line:4097", "P1"), "line iteration needs k <= 4096, got 4097")])
+        (("op", "line:4097", "P1"), "line iteration needs k <= 4096, got 4097"),
+        (("verify", "ebd", "C3000"), "C3000 has 3000 vertices; numeric commands need 1..2000"),
+        (("verify", "splitting:0", "C2"), "cycle needs n >= 3, got 2")])
     def test_family_errors_come_before_operation_errors(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 

@@ -28,11 +28,14 @@ SQ6 = math.sqrt(6.0)
 
 
 class TestRegularBase:
-    def test_from_graph(self):
+    def test_from_graph(self, monkeypatch):
+        calls = _counted_eigensolves(monkeypatch)
         b = RegularBase.from_graph(petersen())
         assert (b.p, b.q, b.r) == (10, 15, 3)
         assert b.connected
+        assert calls == []   # the spectrum is solved once, when first read
         assert b.base_spectrum[0] == pytest.approx(3.0)
+        assert b.base_spectrum is b.base_spectrum and len(calls) == 1
 
     def test_rejects_irregular(self):
         with pytest.raises(ValueError, match="regular"):
@@ -98,13 +101,15 @@ class TestPreconditions:
         with pytest.raises(ValueError, match="r >= 2"):
             CLOSED_FORMS["middle"](b, None, alpha("0"))
 
-    def test_central_needs_r2_and_connected(self):
+    def test_central_needs_r2_and_connected(self, monkeypatch):
+        calls = _counted_eigensolves(monkeypatch)
         with pytest.raises(ValueError, match="r >= 2"):
             CLOSED_FORMS["central"](RegularBase.from_graph(complete(2)), None, alpha("0"))
         two_squares = duplicate_graph(cycle(4), 1)
         assert RegularBase.from_graph(two_squares).r == 2
         with pytest.raises(ValueError, match="connected"):
             CLOSED_FORMS["central"](RegularBase.from_graph(two_squares), None, alpha("0"))
+        assert calls == []   # each refusal comes before the base is solved
 
     def test_verify_rejects_irregular_base(self):
         with pytest.raises(ValueError, match="regular"):
@@ -378,7 +383,8 @@ class TestRemarkEnergies:
         b = RegularBase.from_graph(petersen())
         assert cf_remark_energies(b, "line:2", alpha("0")) == pytest.approx(60.0)
 
-    def test_rejects(self):
+    def test_rejects(self, monkeypatch):
+        calls = _counted_eigensolves(monkeypatch)
         b4 = RegularBase.from_graph(cycle(4))
         bk4 = RegularBase.from_graph(complete(4))
         with pytest.raises(ValueError, match="m >= 2"):
@@ -393,6 +399,7 @@ class TestRemarkEnergies:
             cf_remark_energies(bk4, "shadow:2", alpha("1"))
         with pytest.raises(ValueError, match="no energy identity"):
             cf_remark_energies(bk4, "middle", alpha("0"))
+        assert calls == []   # each refusal comes before the base is solved
 
 
 class TestClosedSplittingAgainstTable:
