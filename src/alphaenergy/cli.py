@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 from .analysis import (format_csv, format_table_json, energy_report_json,
                        classify, sweep_table, table1)
-from .closed_forms import CLOSED_FORMS, verify_closed_form
+from .closed_forms import CLOSED_FORMS, closed_form_base, verify_closed_form
 from .graphs import (Graph, complete, complete_bipartite, cycle, degree_info,
                      family_size, path, petersen, read_edge_list, write_edge_list)
 from .ops import OPS, OpDescriptor, apply_op, op_label, parse_op, split_op
@@ -184,7 +184,8 @@ def _measurable(label: str, n: int) -> None:
 
 def _numeric_source(text: str, op: Optional[OpDescriptor] = None) -> tuple[str, Graph]:
     """A source for a numeric command: parsed, measurable and built.  With
-    ``op`` (verify's operation), the operated order must be measurable too.
+    ``op`` (verify's operation), the operated order must be measurable too,
+    and the built base must pass ``closed_form_base``, which solves nothing.
     A family, and ``op`` on it, are sized from the family's counts before it
     is built; a file or ``op:`` source is built first."""
     family = not text.startswith(("op:", "file:"))
@@ -198,25 +199,23 @@ def _numeric_source(text: str, op: Optional[OpDescriptor] = None) -> tuple[str, 
             n, _ = (OPS[op.name].check_counts(*counts, *op.args) if family
                     else OPS[op.name].check(g, *op.args))
         _measurable(f"op:{op_label(op)}:{text}", n)
-    return text, build() if family else g
+    g = build() if family else g
+    if op is not None:
+        with _usage():   # an irregular base, or the form's unmet precondition
+            closed_form_base(op, g)
+    return text, g
 
 
 class _OperatedSource(argparse.Action):
-    """verify's source, checked with its operation, which argparse has already
-    converted: it converts positionals in argv order."""
+    """A source resolved with its operation by ``const(text, op)``; argparse converts
+    positionals in argv order, so the operation is converted and no later input is."""
 
     def __call__(self, parser, namespace, text, option_string=None):
-        setattr(namespace, self.dest, _numeric_source(text, namespace.operation))
+        setattr(namespace, self.dest, self.const(text, namespace.operation))
 
 
 def _cmd_gen(args) -> int:
     sys.stdout.write(write_edge_list(args.source[1]).decode("ascii"))
-    return 0
-
-
-def _cmd_op(args) -> int:
-    _, out = parse_graph_source(args.source, [args.operation])
-    sys.stdout.write(write_edge_list(out).decode("ascii"))
     return 0
 
 
@@ -261,8 +260,7 @@ def _cmd_verify(args) -> int:
     op, (label, g) = args.operation, args.source
     ok = True
     for a in args.alphas:
-        with _usage():
-            rec = verify_closed_form(op, g, a, tol=args.tol, base_id=label)
+        rec = verify_closed_form(op, g, a, tol=args.tol, base_id=label)
         print(json.dumps(rec.to_json_dict()))
         ok = ok and rec.passed
     return 0 if ok else 1
@@ -294,8 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("op", help="apply an operation and print the edge list")
     p.add_argument("operation", type=_operation)
-    p.add_argument("source")
-    p.set_defaults(func=_cmd_op)
+    p.add_argument("source", action=_OperatedSource,
+                   const=lambda text, op: parse_graph_source(text, [op]))
+    p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("spectrum", help="print eigenvalues with multiplicities")
     p.add_argument("source", type=_numeric_source)
@@ -319,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="closed form vs. numeric spectrum")
     p.add_argument("operation", type=_closed_form_op)
-    p.add_argument("source", action=_OperatedSource)
+    p.add_argument("source", action=_OperatedSource, const=_numeric_source)
     p.add_argument("--alphas", type=_parse_alpha_grid, default="0:0.75:0.25",
                    help="grid lo:hi:step")
     p.add_argument("--tol", type=_tolerance, default=1e-8)

@@ -235,12 +235,16 @@ CLOSED_FORM_INSTANCES = ("middle", "central", "splitting:1", "splitting:2",
                          "splitting:3", "closed-splitting", "closed-shadow", "ebd")
 
 
-def _lookup(op: OpDescriptor | str) -> tuple[OpDescriptor, ClosedForm]:
-    if isinstance(op, str):
-        op = parse_op(op)
+def closed_form_base(op: OpDescriptor | str,
+                     g: Graph) -> tuple[OpDescriptor, ClosedForm, RegularBase]:
+    """The operation, its form and the base's summary, or the refusal that needs no
+    weight: no form, an irregular base, an unmet precondition.  It solves nothing."""
+    op = parse_op(op) if isinstance(op, str) else op
     if op.name not in CLOSED_FORMS:
         raise ValueError(f"no closed form for operation {op.name!r}")
-    return op, CLOSED_FORMS[op.name]
+    form, b = CLOSED_FORMS[op.name], RegularBase.from_graph(g)
+    form.block(form.coeffs, 0.0, 1.0, b, op.param)   # a precondition raises; reads no eigenvalue
+    return op, form, b
 
 
 @dataclass(frozen=True)
@@ -269,8 +273,7 @@ def verify_closed_form(op: OpDescriptor | str, g: Graph, a: AlphaValue, tol: flo
     near the numeric spectrum where that is certified), which runs
     if and only if ``a`` is exact (see ``AlphaValue.from_fraction``)
     and the operated graph has at most ``CHARPOLY_MAX_N`` vertices."""
-    op, form = _lookup(op)
-    b = RegularBase.from_graph(g)
+    op, form, b = closed_form_base(op, g)
     cf = form(b, op.param, a)
     operated = apply_op(op, g)
     numeric = alpha_spectrum(operated, a).values
@@ -294,11 +297,11 @@ def closed_form_identity(op: OpDescriptor | str, g: Graph, a: AlphaValue) -> boo
     degree <= n in a (n the operated order): n + 1 weights prove every a.
     Both sides are d**n and s**n times the monic ones (a = t/d, s the block's
     denominator): each is scaled by the other's leading coefficient."""
-    op, form = _lookup(op)
+    op, form, b = closed_form_base(op, g)
     if a.exact is None:
         raise ValueError("the identity needs a rational alpha")
     c = {name: Fraction(v) for name, v in form.coeffs.items()}
-    k = form.block(c, a.exact, 1 - a.exact, RegularBase.from_graph(g), op.param)
+    k = form.block(c, a.exact, 1 - a.exact, b, op.param)
     got = charpoly_exact(*a_alpha_exact(apply_op(op, g), a))   # det(d*x*I - N)
     g2, l0, l1, e = k.y2
     y2 = [g2]

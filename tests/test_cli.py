@@ -317,6 +317,8 @@ class TestVerify:
         assert "r >= 2" in err
         assert run(capsys, "verify", "central", "op:duplicate:1:C8") == (
             2, "", "error: central closed form needs a connected base\n")
+        assert run(capsys, "verify", "ebd", "P4", "--tol", "nan") == (
+            2, "", "error: base graph must be regular\n")
 
     def test_no_closed_form(self, capsys):
         rc, _, err = run(capsys, "verify", "line:2", "K4")
@@ -405,7 +407,8 @@ class TestUsageContract:
          "op:ebd:C1001 has 2002 vertices; numeric commands need 1..2000"),
         (("verify", "splitting:0", "C6"), "splitting needs m >= 1, got 0"),
         (("verify", "closed-shadow", "K513"), "closed shadow result would exceed 524288 edges"),
-    ], ids=["middle-K63", "ebd-C1001", "splitting-0", "closed-shadow-K513"])
+        (("verify", "middle", "K2"), "middle closed form needs r >= 2, got r=1"),
+    ], ids=["middle-K63", "ebd-C1001", "splitting-0", "closed-shadow-K513", "middle-K2"])
     def test_verify_sizes_the_operated_graph_without_building_it(self, capsys, monkeypatch,
                                                                 argv, message):
         def no_build(*args, **kwargs):
@@ -414,6 +417,26 @@ class TestUsageContract:
             monkeypatch.setitem(OPS, name, op._replace(build=no_build))
         monkeypatch.setattr(ops, "apply_op", no_build)
         monkeypatch.setattr(cli, "apply_op", no_build)
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("op", "middle", "C0", "--help"), "cycle needs n >= 3, got 0"),
+        (("verify", "ebd", "P4", "--help"), "base graph must be regular"),
+        (("verify", "ebd", "P4", "--tol", "nan"), "base graph must be regular"),
+        (("verify", "middle", "K2", "--help"), "middle closed form needs r >= 2, got r=1"),
+        (("verify", "middle", "K2", "--tol", "-1"), "middle closed form needs r >= 2, got r=1"),
+        (("verify", "central", "op:duplicate:1:C8", "--alphas", "x"),
+         "central closed form needs a connected base"),
+    ], ids=["op-C0-help", "ebd-P4-help", "ebd-P4-tol-nan", "middle-K2-help",
+            "middle-K2-tol-negative", "central-disconnected-bad-grid"])
+    def test_source_refused_with_its_operation_in_argv_order(self, capsys, monkeypatch,
+                                                            argv, message):
+        # the source is resolved with its operation as argparse reads it, so its
+        # error comes before a later option's and before --help
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+        monkeypatch.setattr(cli, "verify_closed_form", no_work)
+        monkeypatch.setattr(closed_forms, "sym_eigenvalues", no_work)
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv", [
@@ -526,15 +549,16 @@ _ALPHA = _one("0", "0.3", "0.5", "1", "1.5", "abc", "0.1234567")
 _GRID = st.sampled_from([[]] + [["--alphas", g] for g in (
     "0:0.5:0.25", "0:1:0.5", "0:2:1", "0.5:1.5:0.5", "0:0.5:1/20002",
     "a:b:c", "0.5:0.2:0.1", "-0.5:0.5:0.5")])
+_HELP = st.sampled_from([[], ["--help"]])   # after a source read with its operation
 _ARGV = st.one_of(
     _cat(st.just(["gen"]), _SOURCE),
-    _cat(st.just(["op"]), _OPERATION, _SOURCE),
+    _cat(st.just(["op"]), _OPERATION, _SOURCE, _HELP),
     _cat(st.just(["spectrum"]), _SOURCE, st.just(["--alpha"]), _ALPHA,
          st.sampled_from([[], ["--exact"]])),
     _cat(st.just(["energy"]), _SOURCE, st.just(["--alpha"]), _ALPHA,
          st.sampled_from([[], ["--json"]])),
     _cat(st.just(["sweep"]), _SOURCE, _SOURCE, _GRID),
-    _cat(st.just(["verify"]), _OPERATION, _SOURCE, _GRID),
+    _cat(st.just(["verify"]), _OPERATION, _SOURCE, _GRID, _HELP),
     _cat(st.just(["classify"]), _SOURCE, st.just(["--alpha"]), _ALPHA,
          st.just(["--peers"]), _SOURCE, _SOURCE),
     _one("frobnicate", "energy"),

@@ -19,7 +19,8 @@ from alphaenergy.cli import main
 from alphaenergy.closed_forms import (CLOSED_FORM_INSTANCES, cf_central_spectrum,
                                       cf_closed_shadow_spectrum,
                                       cf_closed_splitting_spectrum, cf_ebd_spectrum,
-                                      cf_middle_spectrum, cf_splitting_spectrum)
+                                      cf_middle_spectrum, cf_splitting_spectrum,
+                                      closed_form_base)
 from conftest import corrupt_coefficient, printed_splitting_spectrum
 
 SQ2 = math.sqrt(2.0)
@@ -290,6 +291,7 @@ class TestIdentity:
         calls = _counted_eigensolves(monkeypatch)
         for op_text in CLOSED_FORM_INSTANCES:
             assert closed_form_identity(op_text, complete(4), alpha("0.25"))
+            assert closed_form_base(op_text, complete(4))[2].r == 3
         assert calls == []
         verify_closed_form("ebd", complete(4), alpha("0.25"))   # the count works
         assert calls
