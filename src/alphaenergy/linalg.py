@@ -88,20 +88,13 @@ def _jacobi(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of the symmetric float64 array ``a``, which is overwritten."""
     n = a.shape[0]
     target = JACOBI_REL_TOL * float(np.linalg.norm(a))
-    if n == 1:
-        return a.diagonal().copy()
     skip = target / (2 * n)   # elements below this cannot push off-norm past target
-
-    def offnorm() -> float:
-        off = a - np.diag(a.diagonal())
-        return float(np.linalg.norm(off))
-
-    converged = False
-    for sweep in range(JACOBI_MAX_SWEEPS):
-        off = offnorm()
+    for sweep in range(JACOBI_MAX_SWEEPS + 1):
+        off = float(np.linalg.norm(a - np.diag(a.diagonal())))
         if off <= target:
-            converged = True
-            break
+            return a.diagonal().copy()
+        if sweep == JACOBI_MAX_SWEEPS:
+            raise ArithmeticError(f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps")
         # Rutishauser's threshold: the first sweeps leave small elements,
         # which the rotations of the large ones change anyway
         thresh = skip
@@ -130,9 +123,6 @@ def _jacobi(a: np.ndarray) -> np.ndarray:
                 a[j, j] = aqq + t * aij
                 a[i, j] = 0.0
                 a[j, i] = 0.0
-    if not converged and offnorm() > target:
-        raise ArithmeticError(f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps")
-    return a.diagonal().copy()
 
 
 def sym_eigenvalues(m: np.ndarray) -> Spectrum:
@@ -392,8 +382,6 @@ def _yun_squarefree(f: list[int]) -> list[tuple[list[int], int]]:
     """Square-free decomposition: [(factor, multiplicity)], factors primitive."""
     fp = _deriv_int(f)
     d = _gcd_int(f, fp)
-    if len(d) - 1 == 0:
-        return [(_primitive(f), 1)]
     w = _div_exact(f, d)
     y = _div_exact(fp, d)
     z = _sub_int(y, _deriv_int(w))

@@ -102,6 +102,14 @@ class TestPreconditions:
         with pytest.raises(ValueError, match="r >= 2"):
             CLOSED_FORMS["middle"](b, None, alpha("0"))
 
+    def test_splitting_needs_m1(self):
+        b = RegularBase.from_graph(cycle(4))
+        msg = "splitting closed form needs m >= 1, got 0"
+        with pytest.raises(ValueError, match=msg):
+            CLOSED_FORMS["splitting"](b, 0, alpha("0.5"))
+        with pytest.raises(ValueError, match=msg):
+            verify_closed_form("splitting:0", cycle(4), alpha("0.5"))
+
     def test_central_needs_r2_and_connected(self, monkeypatch):
         calls = _counted_eigensolves(monkeypatch)
         with pytest.raises(ValueError, match="r >= 2"):

@@ -33,6 +33,8 @@ class TestGraphContainer:
             Graph(3, ((0, 3),))
         with pytest.raises(ValueError):
             Graph(2, ((-1, 0),))
+        with pytest.raises(ValueError, match="vertex count must be non-negative"):
+            Graph(-1)
 
     def test_rejects_oversize(self):
         with pytest.raises(ValueError):
@@ -197,6 +199,7 @@ class TestEdgeListFormat:
         ("", "malformed header"),
         ("3\n", "malformed header"),
         ("a b\n", "malformed header"),
+        ("-1 0\n", "malformed header: negative count"),
         ("3 2\n0 1\n", "expected 2 edge lines, found 1"),
         ("3 1\n0 1\n1 2\n", "expected 1 edge lines, found 2"),
         ("3 1\n0 1 2\n", "malformed edge line"),

@@ -146,6 +146,15 @@ class TestThresholdJacobi:
 
         assert rotations(3) < 0.95 * rotations(0)
 
+    def test_gives_up_after_max_sweeps(self, monkeypatch):
+        # the off-norm is tested once more after the last sweep, so with no
+        # sweeps only a matrix that is already diagonal passes
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
+        with pytest.raises(ArithmeticError, match="Jacobi iteration did not converge in 0 sweeps"):
+            linalg._jacobi(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert list(linalg._jacobi(np.diag([1.0, 2.0]))) == [1.0, 2.0]
+        assert list(linalg._jacobi(np.array([[3.0]]))) == [3.0]
+
 
 def _over(rows) -> tuple[list[list[int]], int]:
     """A matrix of rationals as (N, d), N / d, d the lcm of its denominators."""
@@ -210,6 +219,10 @@ class TestCharpoly:
         big = [[int(i == j) for j in range(65)] for i in range(65)]
         with pytest.raises(ValueError, match="cap"):
             charpoly_exact(big)
+        with pytest.raises(ValueError, match="at least 1x1"):
+            charpoly_exact([])
+        with pytest.raises(ValueError, match="square"):
+            charpoly_exact([[1, 2]])
 
     def test_entries_past_int64(self):
         # the residues are taken in Python integers when int64 cannot hold N
