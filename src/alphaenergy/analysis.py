@@ -83,8 +83,10 @@ class SweepTable:
 
 def sweep_table(rows: Sequence[tuple[str, Graph]],
                 alphas: Sequence[AlphaValue]) -> SweepTable:
-    cells = tuple(alpha_energies(g, alphas) for _, g in rows)
-    return SweepTable(row_labels=tuple(label for label, _ in rows),
+    # tuple([...]), not tuple(<generator>): a generator's tuple is built
+    # oversized and shrunk, which leaves a block on CPython's free list
+    cells = tuple([alpha_energies(g, alphas) for _, g in rows])
+    return SweepTable(row_labels=tuple([label for label, _ in rows]),
                       alphas=tuple(alphas), cells=cells)
 
 

@@ -85,14 +85,21 @@ def multiset_deviation(xs: Sequence[float], ys: Sequence[float]) -> float:
 # cyclic Jacobi
 
 def _jacobi(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the symmetric float64 array ``a``, which is overwritten."""
+    """Eigenvalues of the symmetric float64 array ``a``, which is overwritten.
+    Rotations update ``a`` in place through two work rows: nothing is
+    allocated per rotation, and nothing of size n x n per sweep."""
     n = a.shape[0]
     target = JACOBI_REL_TOL * float(np.linalg.norm(a))
     skip = target / (2 * n)   # elements below this cannot push off-norm past target
+    ai = np.empty(n)          # row i before its rotation
+    w = np.empty(n)
     for sweep in range(JACOBI_MAX_SWEEPS + 1):
-        off = float(np.linalg.norm(a - np.diag(a.diagonal())))
+        diag = a.diagonal().copy()
+        np.fill_diagonal(a, 0.0)
+        off = float(np.linalg.norm(a))
+        np.fill_diagonal(a, diag)
         if off <= target:
-            return a.diagonal().copy()
+            return diag
         if sweep == JACOBI_MAX_SWEEPS:
             raise ArithmeticError(f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps")
         # Rutishauser's threshold: the first sweeps leave small elements,
@@ -101,11 +108,12 @@ def _jacobi(a: np.ndarray) -> np.ndarray:
         if sweep < JACOBI_THRESHOLD_SWEEPS:
             thresh = max(skip, JACOBI_THRESHOLD * off / n)
         for i in range(n - 1):
+            ri = a[i]
             for j in range(i + 1, n):
-                aij = a[i, j]
+                aij = a.item(i, j)   # Python floats: cheaper scalar arithmetic
                 if abs(aij) <= thresh:
                     continue
-                app, aqq = a[i, i], a[j, j]
+                app, aqq = a.item(i, i), a.item(j, j)
                 theta = (aqq - app) / (2.0 * aij)
                 t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
                 if theta < 0.0:
@@ -113,12 +121,20 @@ def _jacobi(a: np.ndarray) -> np.ndarray:
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
                 tau = s / (1.0 + c)
-                ai = a[i].copy()
-                aj = a[j].copy()
-                a[i] = ai - s * (aj + tau * ai)
-                a[j] = aj + s * (ai - tau * aj)
-                a[:, i] = a[i]
-                a[:, j] = a[j]
+                rj = a[j]
+                # ri <- ai - s*(aj + tau*ai), rj <- aj + s*(ai - tau*aj),
+                # each operation in the order that rounds as written
+                np.copyto(ai, ri)
+                np.multiply(ai, tau, out=w)
+                w += rj
+                w *= s
+                ri -= w
+                np.multiply(rj, tau, out=w)
+                np.subtract(ai, w, out=w)
+                w *= s
+                rj += w
+                a[:, i] = ri
+                a[:, j] = rj
                 a[i, i] = app - t * aij
                 a[j, j] = aqq + t * aij
                 a[i, j] = 0.0

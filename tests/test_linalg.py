@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -108,6 +109,62 @@ class TestJacobi:
             sym_eigenvalues(np.zeros((0, 0)))
 
 
+def _copying_jacobi(a: np.ndarray) -> np.ndarray:
+    """The copying form of ``_jacobi``: each rotation copies both rows and
+    builds the new ones from temporaries.  The in-place rotations must match
+    it bit for bit."""
+    n = a.shape[0]
+    target = linalg.JACOBI_REL_TOL * float(np.linalg.norm(a))
+    skip = target / (2 * n)
+    for sweep in range(linalg.JACOBI_MAX_SWEEPS + 1):
+        off = float(np.linalg.norm(a - np.diag(a.diagonal())))
+        if off <= target:
+            return a.diagonal().copy()
+        thresh = skip
+        if sweep < linalg.JACOBI_THRESHOLD_SWEEPS:
+            thresh = max(skip, linalg.JACOBI_THRESHOLD * off / n)
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                aij = a[i, j]
+                if abs(aij) <= thresh:
+                    continue
+                app, aqq = a[i, i], a[j, j]
+                theta = (aqq - app) / (2.0 * aij)
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                tau = s / (1.0 + c)
+                ai = a[i].copy()
+                aj = a[j].copy()
+                a[i] = ai - s * (aj + tau * ai)
+                a[j] = aj + s * (ai - tau * aj)
+                a[:, i] = a[i]
+                a[:, j] = a[j]
+                a[i, i] = app - t * aij
+                a[j, j] = aqq + t * aij
+                a[i, j] = 0.0
+                a[j, i] = 0.0
+    raise ArithmeticError("no convergence")
+
+
+def _seeded(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = random.Random(seed)
+    if kind == "integer":
+        a = np.array([[float(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
+        return a + a.T
+    if kind == "clustered":
+        return np.eye(n) + 1e-9 * _sym_random(rng, n, span=1.0)
+    if kind == "block":
+        h = n // 2
+        a = np.zeros((n, n))
+        a[:h, :h] = _sym_random(rng, h)
+        a[h:, h:] = _sym_random(rng, n - h)
+        return a
+    return _sym_random(rng, n)
+
+
 def _assert_near_lapack(a: np.ndarray) -> None:
     """Within 1e-12 * ||A||_F of LAPACK; a solve that does not converge in
     JACOBI_MAX_SWEEPS raises."""
@@ -145,6 +202,23 @@ class TestThresholdJacobi:
             return len(calls) // 2
 
         assert rotations(3) < 0.95 * rotations(0)
+
+    @pytest.mark.parametrize("kind", ["random", "integer", "clustered", "block"])
+    @pytest.mark.parametrize("n", [1, 2, 9, 40, 96])
+    def test_in_place_rotations_are_bit_identical(self, kind, n):
+        a = _seeded(kind, n, 1000 * n + len(kind))
+        assert np.array_equal(linalg._jacobi(a.copy()), _copying_jacobi(a.copy()))
+
+    def test_allocates_no_n_by_n_array(self):
+        n = 96
+        a = _sym_random(random.Random(6), n)
+        tracemalloc.start()
+        try:
+            linalg._jacobi(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 2
 
     def test_gives_up_after_max_sweeps(self, monkeypatch):
         # the off-norm is tested once more after the last sweep, so with no
