@@ -8,7 +8,7 @@ listed case by case (use --max-failures to see more of them).
 import argparse
 import sys
 
-from alphaenergy.analysis import observations_report
+from alphaenergy.analysis import DEFAULT_TOL, observations_report
 from alphaenergy.cli import UsageError, _tolerance
 
 
@@ -25,7 +25,7 @@ def failure_count(text: str) -> int:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--tol", type=_tolerance, default=1e-6)
+    ap.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     ap.add_argument("--max-failures", type=failure_count, default=5,
                     help="failure lines to print per bullet")
     try:

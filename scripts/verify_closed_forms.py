@@ -16,8 +16,8 @@ import sys
 from fractions import Fraction
 
 from alphaenergy.cli import UsageError, _grid_bound, _tolerance
-from alphaenergy.closed_forms import (CLOSED_FORM_INSTANCES, closed_form_identity,
-                                      verify_closed_form)
+from alphaenergy.closed_forms import (CLOSED_FORM_INSTANCES, VERIFY_TOL,
+                                      closed_form_identity, verify_closed_form)
 from alphaenergy.graphs import complete, complete_bipartite, cycle, petersen
 from alphaenergy.linalg import CHARPOLY_MAX_N
 from alphaenergy.ops import OPS, parse_op
@@ -64,7 +64,7 @@ def grid_step(text: str) -> Fraction:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--tol", type=_tolerance, default=1e-8)
+    ap.add_argument("--tol", type=_tolerance, default=VERIFY_TOL)
     ap.add_argument("--step", type=grid_step, default="1/4",
                     help="weight grid step, a fraction in (0, 1]")
     try:

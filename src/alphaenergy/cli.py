@@ -20,20 +20,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import math
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .analysis import (format_csv, format_table_json, energy_report_json,
+from .analysis import (DEFAULT_TOL, format_csv, format_table_json, energy_report_json,
                        classify, sweep_table, table1)
-from .closed_forms import CLOSED_FORMS, closed_form_base, verify_closed_form
-from .graphs import (Graph, complete, complete_bipartite, cycle, degree_info,
-                     family_size, path, petersen, read_edge_list, write_edge_list)
+from .closed_forms import CLOSED_FORMS, VERIFY_TOL, closed_form_base, verify_closed_form
+from .graphs import Graph, degree_info, parse_family, read_edge_list, write_edge_list
 from .ops import OPS, OpDescriptor, apply_op, op_label, parse_op, split_op
 from .spectra import (AlphaValue, alpha_energy, alpha_spectrum, a_alpha_exact,
                       plain_decimal)
@@ -56,25 +53,6 @@ def _usage(prefix: str = ""):
         raise UsageError(f"{prefix}{e}") from None
 
 
-_FAMILY_RE = re.compile(r"^(C|P|K)(\d+)(?:,(\d+))?$")
-
-
-def _family(text: str) -> tuple[Callable[[], Graph], tuple[int, int, int]]:
-    """A family source's builder and its (p, q, s) (see ``family_size``),
-    checked but not built."""
-    if text == "petersen":
-        return petersen, family_size(text)
-    m = _FAMILY_RE.match(text)
-    if not m or (m.group(3) is not None and m.group(1) != "K"):
-        raise UsageError(f"cannot parse graph source {text!r}")
-    kind = m.group(1)
-    with _usage():      # int() refuses over 4300 digits
-        args = tuple(int(x) for x in m.group(2, 3) if x is not None)
-        counts = family_size(kind, *args)
-    build = complete_bipartite if len(args) == 2 else {"C": cycle, "P": path, "K": complete}[kind]
-    return functools.partial(build, *args), counts
-
-
 def parse_graph_source(text: str, ops: Sequence[OpDescriptor] = ()) -> tuple[str, Graph]:
     """Resolve a source string to (label, graph), with ``ops`` (outermost
     first) applied after its own.  The ``op:`` prefixes are peeled in a loop
@@ -95,8 +73,8 @@ def parse_graph_source(text: str, ops: Sequence[OpDescriptor] = ()) -> tuple[str
         with _usage(f"bad edge list in {p}: "):  # EdgeListError, or a header over a cap
             g = read_edge_list(p.read_bytes())
     else:
-        build, counts = _family(text)
         with _usage():
+            build, counts = parse_family(text)
             if ops:
                 op = ops[-1]
                 OPS[op.name].check_counts(*counts, *op.args)
@@ -190,7 +168,8 @@ def _numeric_source(text: str, op: Optional[OpDescriptor] = None) -> tuple[str, 
     is built; a file or ``op:`` source is built first."""
     family = not text.startswith(("op:", "file:"))
     if family:
-        build, counts = _family(text)
+        with _usage():
+            build, counts = parse_family(text)
     else:
         text, g = parse_graph_source(text)
     _measurable(text, counts[0] if family else g.p)
@@ -321,14 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", action=_OperatedSource, const=_numeric_source)
     p.add_argument("--alphas", type=_parse_alpha_grid, default="0:0.75:0.25",
                    help="grid lo:hi:step")
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=VERIFY_TOL)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("classify", help="borderenergetic/hyperenergetic verdict")
     p.add_argument("source", type=_numeric_source)
     p.add_argument("--alpha", type=_below_one(_alpha, "classification"), required=True)
     p.add_argument("--peers", type=_numeric_source, nargs="*", default=[])
-    p.add_argument("--tol", type=_tolerance, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("table1", help="headline energy table")

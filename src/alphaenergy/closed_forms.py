@@ -22,10 +22,11 @@ import numpy as np
 from .graphs import Graph, adjacency_matrix, component_counts, degree_info
 from .linalg import (CHARPOLY_MAX_N, Spectrum, charpoly_exact, make_spectrum,
                      multiset_deviation, poly_roots_real, sym_eigenvalues)
-from .ops import OpDescriptor, apply_op, op_label, parse_op
+from .ops import OPS, OpDescriptor, apply_op, op_label, parse_op
 from .spectra import AlphaValue, a_alpha_exact, alpha_spectrum
 
 BASE_TOL = 1e-8
+VERIFY_TOL = 1e-8   # the default verify tolerance, of the library, the CLI and the battery
 
 
 @dataclass(frozen=True)
@@ -125,8 +126,7 @@ def _central(c, al, w, b, m) -> Block:
 def _splitting(c, al, w, b, m) -> Block:
     """[[a*(m+1)*r + (1-a)*lambda, sqrt(m)*(1-a)*lambda], [., a*r]], on x and x
     spread over the m clone layers; the other clone sums: p*(m-1) values a*r."""
-    if m < 1:
-        raise ValueError(f"splitting closed form needs m >= 1, got {m}")
+    OPS["splitting"].valid(m)
     return Block(x=(al * (m + c["orig_one"]) * b.r, w), y2=(m * w * w, 0, 1, 2),
                  z=(c["clone_deg"] * al * b.r, 0), rep=c["rep"] * al * b.r,
                  count=b.p * (m - 1))
@@ -209,14 +209,10 @@ def cf_remark_energies(b: RegularBase, op: OpDescriptor | str, a: AlphaValue) ->
     if a.numeric >= 1.0:
         raise ValueError("energy identities hold for alpha < 1 only")
     w = 1.0 - a.numeric
-    if op.name == "shadow":
-        if op.param < 2:
-            raise ValueError("shadow energy identity needs m >= 2")
-        return op.param * w * math.fsum(abs(v) for v in b.base_spectrum)
-    if op.name == "duplicate":
-        if op.param < 1:
-            raise ValueError("duplicate energy identity needs m >= 1")
-        return (2 ** op.param) * w * math.fsum(abs(v) for v in b.base_spectrum)
+    if op.name in ("shadow", "duplicate"):
+        OPS[op.name].valid(op.param)
+        copies = op.param if op.name == "shadow" else 2 ** op.param
+        return copies * w * math.fsum(abs(v) for v in b.base_spectrum)
     if op.name == "line":
         k = op.param
         if k < 2:
@@ -266,7 +262,7 @@ class VerificationRecord:
         return out
 
 
-def verify_closed_form(op: OpDescriptor | str, g: Graph, a: AlphaValue, tol: float = 1e-8,
+def verify_closed_form(op: OpDescriptor | str, g: Graph, a: AlphaValue, tol: float = VERIFY_TOL,
                        base_id: Optional[str] = None) -> VerificationRecord:
     """Compare a closed-form spectrum against the numeric oracle, which always
     runs, and the exact one (roots of the integer det(d*x*I - N), isolated

@@ -8,9 +8,11 @@ edges by their position in it.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 from math import comb
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -170,6 +172,24 @@ def petersen() -> Graph:
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return Graph(10, tuple(outer + spokes + inner))
+
+
+_FAMILY_RE = re.compile(r"^(C|P|K)(\d+)(?:,(\d+))?$")
+
+
+def parse_family(text: str) -> tuple[Callable[[], Graph], tuple[int, int, int]]:
+    """The builder of the family source C<n>, P<n>, K<n>, K<a>,<b> or petersen,
+    and its (p, q, s) (see ``family_size``): checked, not built."""
+    if text == "petersen":
+        return petersen, family_size(text)
+    m = _FAMILY_RE.match(text)
+    if not m or (m.group(3) is not None and m.group(1) != "K"):
+        raise ValueError(f"cannot parse graph source {text!r}")
+    kind = m.group(1)
+    args = tuple(int(x) for x in m.group(2, 3) if x is not None)  # refuses over 4300 digits
+    counts = family_size(kind, *args)
+    build = complete_bipartite if len(args) == 2 else {"C": cycle, "P": path, "K": complete}[kind]
+    return functools.partial(build, *args), counts
 
 
 # ----------------------------------------------------------------------

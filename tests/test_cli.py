@@ -44,13 +44,28 @@ class TestSourceParsing:
         assert label == "op:middle:op:line:2:C5"
         assert (g.p, g.q) == (10, 15)
 
-    @pytest.mark.parametrize("text", [
-        "X5", "C", "K2,3,4", "C2", "P0", "op:middle", "op:splitting:C4",
-        "op:splitting:x:C4", "op:frob:C4", "file:/does/not/exist",
-    ])
-    def test_rejects(self, text):
-        with pytest.raises(UsageError):
+    @pytest.mark.parametrize("text, message", [pytest.param(t, m, id=t) for t, m in [
+        ("X5", "cannot parse graph source 'X5'"),
+        ("C", "cannot parse graph source 'C'"),
+        ("K2,3,4", "cannot parse graph source 'K2,3,4'"),
+        ("C2,3", "cannot parse graph source 'C2,3'"),   # two parts are K's alone
+        ("Q5", "cannot parse graph source 'Q5'"),
+        ("C2", "cycle needs n >= 3, got 2"),
+        ("P0", "path needs n >= 1, got 0"),
+        ("K0", "complete graph needs n >= 1, got 0"),
+        ("op:middle", "operation source needs 'op:<operation>:<source>', got 'op:middle'"),
+        ("op:splitting:C4", "expected 'splitting:<m>', got 'splitting:C4'"),
+        ("op:splitting:x:C4", "expected 'splitting:<m>', got 'splitting:x:C4'"),
+        ("op:frob:C4", "unknown operation 'frob'"),
+        ("file:/does/not/exist", "no such file: /does/not/exist"),
+    ]] + [pytest.param("C" + "9" * 5000,   # int() refuses it, before any size is formed
+                       "Exceeds the limit (4300 digits) for integer string conversion: value "
+                       "has 5000 digits; use sys.set_int_max_str_digits() to increase the limit",
+                       id="C<5000 digits>")])
+    def test_rejects(self, text, message):
+        with pytest.raises(UsageError) as e:
             parse_graph_source(text)
+        assert str(e.value) == message
 
     @pytest.mark.parametrize("argv", [("gen", "{}"), ("energy", "{}", "--alpha", "0.5"),
                                       ("op", "line:0", "{}")], ids=lambda argv: argv[0])

@@ -11,8 +11,8 @@ from alphaenergy import (CLOSED_FORMS, AlphaValue, RegularBase, alpha,
                          alpha_energy, alpha_spectrum, cf_remark_energies,
                          closed_form_identity, closed_splitting_graph,
                          complete, complete_bipartite, cycle, duplicate_graph,
-                         iterated_line_graph, multiset_deviation, parse_op,
-                         path, petersen, shadow_graph, splitting_graph,
+                         iterated_line_graph, make_spectrum, multiset_deviation,
+                         parse_op, path, petersen, shadow_graph, splitting_graph,
                          verify_closed_form)
 from alphaenergy import closed_forms, linalg, spectra
 from alphaenergy.cli import main
@@ -60,6 +60,12 @@ class TestRegularBase:
         assert spec[:2] == (2.0, 2.0) and spec[2] != 2.0
         assert spec[-2:] == (-2.0, -2.0) and spec[-3] != -2.0
 
+    def test_rejects_a_leading_eigenvalue_off_r(self, monkeypatch):
+        c5 = [2.0 + 1e-6, *[2 * math.cos(2 * math.pi * k / 5) for k in range(1, 5)]]
+        monkeypatch.setattr(closed_forms, "sym_eigenvalues", lambda m: make_spectrum(c5))
+        with pytest.raises(ValueError, match="adjacency eigenvalue 2.000001 should be 2"):
+            RegularBase.from_graph(cycle(5)).base_spectrum
+
     def test_non_bipartite_pins_only_the_degree(self):
         spec = RegularBase.from_graph(petersen()).base_spectrum
         assert spec[0] == 3.0
@@ -104,7 +110,7 @@ class TestPreconditions:
 
     def test_splitting_needs_m1(self):
         b = RegularBase.from_graph(cycle(4))
-        msg = "splitting closed form needs m >= 1, got 0"
+        msg = "splitting needs m >= 1, got 0"   # the operation's own refusal
         with pytest.raises(ValueError, match=msg):
             CLOSED_FORMS["splitting"](b, 0, alpha("0.5"))
         with pytest.raises(ValueError, match=msg):
@@ -401,6 +407,9 @@ class TestRemarkEnergies:
             cf_remark_energies(bk4, "shadow:1", alpha("0"))
         with pytest.raises(ValueError, match="m >= 1"):
             cf_remark_energies(bk4, "duplicate:0", alpha("0"))
+        # the operation's own cap: 2**13 copies are never built, so not summed
+        with pytest.raises(ValueError, match="duplication result would exceed 4096 vertices"):
+            cf_remark_energies(bk4, "duplicate:13", alpha("0"))
         with pytest.raises(ValueError, match="k >= 2"):
             cf_remark_energies(bk4, "line:1", alpha("0"))
         with pytest.raises(ValueError, match="r >= 3"):

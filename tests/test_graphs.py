@@ -14,7 +14,7 @@ from alphaenergy import (EdgeListError, Graph, adjacency_matrix, complete,
                          line_graph, path, petersen,
                          read_edge_list, write_edge_list)
 from alphaenergy import graphs as graphs_module
-from alphaenergy.graphs import component_counts, family_size
+from alphaenergy.graphs import component_counts, family_size, parse_family
 from conftest import graphs
 
 
@@ -107,6 +107,9 @@ class TestGenerators:
         g = build(*args)
         s = sum(math.comb(d, 2) for d in degree_info(g).degrees)
         assert family_size(kind, *args) == (g.p, g.q, s)
+        parsed, counts = parse_family(kind + ",".join(map(str, args)))   # "K3,4", "petersen"
+        assert counts == (g.p, g.q, s)
+        assert parsed() == g
 
     def test_cycle_too_small(self):
         with pytest.raises(ValueError):

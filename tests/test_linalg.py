@@ -80,6 +80,7 @@ class TestSpectrumHelpers:
         assert multiset_deviation([0.0, 2.0], [0.5, 2.0]) == 0.5
         with pytest.raises(ValueError, match="mismatch"):
             multiset_deviation([1.0], [1.0, 2.0])
+        assert multiset_deviation([], []) == 0.0
 
 
 class TestJacobi:
@@ -598,6 +599,9 @@ class TestRootIsolation:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             poly_roots_real((0,))
+
+    def test_nonzero_constant_has_no_roots(self):
+        assert poly_roots_real([5]) == []
 
     def test_irrational_precision(self):
         # x^2 - 2 to the bisection width
