@@ -15,7 +15,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from alphaenergy.cli import UsageError, _grid_bound, _tolerance
+from alphaenergy.cli import MAX_GRID_POINTS, UsageError, _grid_bound, _tolerance
 from alphaenergy.closed_forms import (CLOSED_FORM_INSTANCES, VERIFY_TOL,
                                       closed_form_identity, verify_closed_form)
 from alphaenergy.graphs import complete, complete_bipartite, cycle, petersen
@@ -51,14 +51,16 @@ def alpha_grid(step: Fraction) -> list[AlphaValue]:
 
 
 def grid_step(text: str) -> Fraction:
-    """Parse the weight grid step: a fraction in (0, 1], written as a plain
+    """Parse the weight grid step: a fraction in (0, 1] of at least
+    1/MAX_GRID_POINTS, the command line's grid cap, written as a plain
     decimal or as <int>/<int>, as the command line's grid bounds are."""
     try:
         step = _grid_bound(text)
     except (ValueError, ZeroDivisionError):
         step = None
-    if step is None or not 0 < step <= 1:
-        raise argparse.ArgumentTypeError(f"step must be a fraction in (0, 1], got {text!r}")
+    if step is None or not Fraction(1, MAX_GRID_POINTS) <= step <= 1:
+        raise argparse.ArgumentTypeError(f"step must be a fraction in (0, 1] of at least "
+                                         f"1/{MAX_GRID_POINTS}, got {text!r}")
     return step
 
 
@@ -66,7 +68,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--tol", type=_tolerance, default=VERIFY_TOL)
     ap.add_argument("--step", type=grid_step, default="1/4",
-                    help="weight grid step, a fraction in (0, 1]")
+                    help=f"weight grid step, a fraction in (0, 1] of at least 1/{MAX_GRID_POINTS}")
     try:
         args = ap.parse_args(argv)
     except UsageError as e:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .graphs import Graph, complete, complete_bipartite, cycle
 from .ops import (closed_shadow_graph, closed_splitting_graph, duplicate_graph,
@@ -38,8 +37,7 @@ def _verdict(energy: float, reference: float, tol: float) -> str:
     return "hyperenergetic" if energy > reference + tol else "neither"
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     graph_id: str
     alpha: float
     energy: float
@@ -72,8 +70,7 @@ def classify(g: Graph, a: AlphaValue,
 # ----------------------------------------------------------------------
 # sweep tables
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(NamedTuple):
     """Energies of several graphs over a shared weight grid."""
 
     row_labels: tuple[str, ...]
@@ -159,16 +156,14 @@ def energy_report_json(rep: EnergyReport, regular: Optional[int]) -> str:
 # ----------------------------------------------------------------------
 # observation battery
 
-@dataclass(frozen=True)
-class BulletResult:
+class BulletResult(NamedTuple):
     key: str
     description: str
     passed: bool
     failures: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ObservationsReport:
+class ObservationsReport(NamedTuple):
     tol: float
     bullets: tuple[BulletResult, ...]
 

@@ -79,8 +79,7 @@ class Block(NamedTuple):
     count: int = 0
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(NamedTuple):
     """``block(c, al, w, base, m)`` takes the coefficients, a, 1 - a, the base and
     the operation's parameter, and uses only + - *: floats and Fractions both pass."""
 

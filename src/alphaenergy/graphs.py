@@ -12,7 +12,7 @@ import functools
 import re
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -69,8 +69,7 @@ class Graph:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class DegreeInfo:
+class DegreeInfo(NamedTuple):
     degrees: tuple[int, ...]
     regular: Optional[int]  # common degree r, or None
 
@@ -174,7 +173,7 @@ def petersen() -> Graph:
     return Graph(10, tuple(outer + spokes + inner))
 
 
-_FAMILY_RE = re.compile(r"^(C|P|K)(\d+)(?:,(\d+))?$")
+_FAMILY_RE = re.compile(r"(C|P|K)(\d+)(?:,(\d+))?")
 
 
 def parse_family(text: str) -> tuple[Callable[[], Graph], tuple[int, int, int]]:
@@ -182,7 +181,7 @@ def parse_family(text: str) -> tuple[Callable[[], Graph], tuple[int, int, int]]:
     and its (p, q, s) (see ``family_size``): checked, not built."""
     if text == "petersen":
         return petersen, family_size(text)
-    m = _FAMILY_RE.match(text)
+    m = _FAMILY_RE.fullmatch(text)
     if not m or (m.group(3) is not None and m.group(1) != "K"):
         raise ValueError(f"cannot parse graph source {text!r}")
     kind = m.group(1)

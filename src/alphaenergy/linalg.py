@@ -22,8 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,8 +37,7 @@ JACOBI_THRESHOLD_SWEEPS = 3
 GROUP_TOL = 1e-7         # eigenvalue clustering width for multiplicities
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Eigenvalues in non-increasing order plus clustered multiplicities."""
 
     values: tuple[float, ...]

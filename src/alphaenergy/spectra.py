@@ -17,14 +17,14 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .graphs import Graph, adjacency_matrix, degree_info
 from .linalg import Spectrum, sym_eigenvalues
 
-_DECIMAL_RE = re.compile(r"^\d+(\.\d+)?$")
+_DECIMAL_RE = re.compile(r"\d+(\.\d+)?")
 EXACT_MAX_DENOMINATOR = 10**15   # every decimal of up to 15 places
 
 
@@ -32,7 +32,7 @@ def plain_decimal(text: str) -> Fraction:
     """The exact value of digits, optionally followed by a point and more
     digits.  Signs, exponents and a bare leading point are refused."""
     text = text.strip()
-    if not _DECIMAL_RE.match(text):
+    if not _DECIMAL_RE.fullmatch(text):
         raise ValueError(f"alpha must be a plain decimal, got {text!r}")
     return Fraction(Decimal(text))   # Fraction(str) stops at 4300 digits
 
@@ -102,8 +102,7 @@ def alpha_spectrum(g: Graph, a: AlphaValue) -> Spectrum:
     return sym_eigenvalues(a_alpha_matrix(g, a))
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     graph_id: str
     alpha: AlphaValue
     p: int

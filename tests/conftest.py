@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 
@@ -47,7 +46,7 @@ def corrupt_coefficient(monkeypatch, name: str, coeff: str, value: float) -> Non
     ``value``, so every route that reads the entry sees the corruption."""
     form = CLOSED_FORMS[name]
     monkeypatch.setitem(CLOSED_FORMS, name,
-                        dataclasses.replace(form, coeffs={**form.coeffs, coeff: value}))
+                        form._replace(coeffs={**form.coeffs, coeff: value}))
 
 
 @pytest.fixture(scope="session")

@@ -50,6 +50,9 @@ class TestSourceParsing:
         ("K2,3,4", "cannot parse graph source 'K2,3,4'"),
         ("C2,3", "cannot parse graph source 'C2,3'"),   # two parts are K's alone
         ("Q5", "cannot parse graph source 'Q5'"),
+        ("C5\n", "cannot parse graph source 'C5\\n'"),   # the whole text must match
+        ("K3,3\n", "cannot parse graph source 'K3,3\\n'"),
+        ("op:ebd:C4\n", "cannot parse graph source 'C4\\n'"),
         ("C2", "cycle needs n >= 3, got 2"),
         ("P0", "path needs n >= 1, got 0"),
         ("K0", "complete graph needs n >= 1, got 0"),

@@ -29,14 +29,16 @@ verify_script = _load("verify_closed_forms")
 observations_script = _load("observations")
 
 
-@pytest.mark.parametrize("text", ["0", "-1/4", "2", "x", "1/0", "1e-1", ".5", "+1/2"])
+@pytest.mark.parametrize("text", ["0", "-1/4", "2", "x", "1/0", "1e-1", ".5", "+1/2",
+                                  "1/10002", "1/100000000"])
 def test_grid_step_rejects(text):
     with pytest.raises(argparse.ArgumentTypeError, match=r"\(0, 1\]"):
         verify_script.grid_step(text)
 
 
 @pytest.mark.parametrize("text, step", [("1/2", Fraction(1, 2)), ("1", Fraction(1)),
-                                        ("0.1", Fraction(1, 10))])
+                                        ("0.1", Fraction(1, 10)),
+                                        ("1/10001", Fraction(1, 10001))])
 def test_grid_step_accepts(text, step):
     assert verify_script.grid_step(text) == step
 
