@@ -10,17 +10,15 @@ import sys
 
 from alphaenergy.analysis import DEFAULT_TOL, observations_report
 from alphaenergy.cli import UsageError, _tolerance
+from alphaenergy.graphs import natural
 
 
 def failure_count(text: str) -> int:
-    """A --max-failures value, an integer >= 0."""
+    """A --max-failures value: digits alone, as every count in every input."""
     try:
-        count = int(text)
+        return natural(text)
     except ValueError:
-        count = -1
-    if count < 0:
-        raise UsageError(f"--max-failures must be an integer >= 0, got {text!r}")
-    return count
+        raise UsageError(f"--max-failures must be an integer >= 0, got {text!r}") from None
 
 
 def main(argv=None) -> int:

@@ -13,7 +13,7 @@ Usage:
 Graph sources: C<n>, P<n>, K<n>, K<a>,<b>, petersen, file:<path>,
 op:<operation>:<source> (operations nest).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 stdout closed.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import argparse
 import contextlib
 import json
 import math
+import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +32,8 @@ from typing import Callable, Optional, Sequence
 from .analysis import (DEFAULT_TOL, format_csv, format_table_json, energy_report_json,
                        classify, sweep_table, table1)
 from .closed_forms import CLOSED_FORMS, VERIFY_TOL, closed_form_base, verify_closed_form
-from .graphs import Graph, degree_info, parse_family, read_edge_list, write_edge_list
+from .graphs import (DIGITS, Graph, degree_info, natural, parse_family, read_edge_list,
+                     write_edge_list)
 from .ops import OPS, OpDescriptor, apply_op, op_label, parse_op, split_op
 from .spectra import (AlphaValue, alpha_energy, alpha_spectrum, a_alpha_exact,
                       plain_decimal)
@@ -38,6 +41,7 @@ from .linalg import (CHARPOLY_MAX_N, SYM_EIG_MAX_N, charpoly_exact, make_spectru
                      poly_roots_real)
 
 MAX_GRID_POINTS = 10001   # a weight grid of step 1e-4 over [0, 1]
+_TOL_RE = re.compile(rf"{DIGITS}(\.{DIGITS})?([eE][-+]?{DIGITS})?")
 
 
 class UsageError(Exception):
@@ -104,24 +108,19 @@ def _alpha(text: str) -> AlphaValue:
 
 def _grid_bound(text: str) -> Fraction:
     """A grid bound or step: a plain decimal, as --alpha takes, or <int>/<int>."""
-    num, sep, den = text.strip().partition("/")
-    if sep and num.isdecimal() and den.isdecimal():
-        return Fraction(int(num), int(den))   # int() refuses over 4300 digits
-    return plain_decimal(text)
+    num, sep, den = text.partition("/")
+    return Fraction(natural(num), natural(den)) if sep else plain_decimal(text)
 
 
 def _parse_alpha_grid(text: str) -> list[AlphaValue]:
     """Parse 'lo:hi:step' into an inclusive grid of exact weights."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"alpha grid must be lo:hi:step, got {text!r}")
-    try:
-        lo, hi, step = (_grid_bound(p) for p in parts)
+    try:   # a count of parts other than three fails the unpacking
+        lo, hi, step = (_grid_bound(p) for p in text.split(":"))
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"alpha grid must be lo:hi:step, got {text!r}") from None
     if step <= 0 or lo > hi:
         raise UsageError(f"empty alpha grid {text!r}")
-    if lo < 0 or hi > 1:
+    if hi > 1:   # a bound has no sign, so lo >= 0
         raise UsageError(f"alpha grid must lie in [0, 1], got {text!r}")
     count = (hi - lo) // step + 1
     if count > MAX_GRID_POINTS:
@@ -142,13 +141,10 @@ def _below_one(parse: Callable, what: str) -> Callable:
 
 
 def _tolerance(text: str) -> float:
-    """A --tol value, finite and >= 0: a NaN tolerance fails every check and
-    an infinite one passes every check."""
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol >= 0):
+    """A --tol value, finite and >= 0 (a NaN tolerance fails every check and an
+    infinite one passes every check): digits, an optional fraction and exponent."""
+    tol = float(text) if _TOL_RE.fullmatch(text) else math.inf
+    if not math.isfinite(tol):
         raise UsageError(f"--tol must be a finite number >= 0, got {text!r}")
     return tol
 
@@ -320,12 +316,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a closed pipe shows here, not in the exit-time flush
+        return code
     except SystemExit as e:     # argparse's own usage errors, and --help
         return e.code if isinstance(e.code, int) else 2
     except UsageError as e:     # from an argument's type, or from a command
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:     # stdout's reader is gone, as after `| head -1`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())   # a quiet exit flush
+        return 141              # 128 + SIGPIPE, as a shell reports it
 
 
 if __name__ == "__main__":

@@ -173,7 +173,16 @@ def petersen() -> Graph:
     return Graph(10, tuple(outer + spokes + inner))
 
 
-_FAMILY_RE = re.compile(r"(C|P|K)(\d+)(?:,(\d+))?")
+DIGITS = "[0-9]+"   # the one rule for the digits of a number in any input: ASCII alone
+_NATURAL_RE = re.compile(DIGITS)
+_FAMILY_RE = re.compile(rf"(C|P|K)({DIGITS})(?:,({DIGITS}))?")
+
+
+def natural(text: str) -> int:
+    """The integer ``text`` writes in ``DIGITS``; anything else is refused."""
+    if not _NATURAL_RE.fullmatch(text):
+        raise ValueError(f"expected digits, got {text!r}")
+    return int(text)   # refuses over 4300 digits
 
 
 def parse_family(text: str) -> tuple[Callable[[], Graph], tuple[int, int, int]]:
@@ -185,7 +194,7 @@ def parse_family(text: str) -> tuple[Callable[[], Graph], tuple[int, int, int]]:
     if not m or (m.group(3) is not None and m.group(1) != "K"):
         raise ValueError(f"cannot parse graph source {text!r}")
     kind = m.group(1)
-    args = tuple(int(x) for x in m.group(2, 3) if x is not None)  # refuses over 4300 digits
+    args = tuple(natural(x) for x in m.group(2, 3) if x is not None)
     counts = family_size(kind, *args)
     build = complete_bipartite if len(args) == 2 else {"C": cycle, "P": path, "K": complete}[kind]
     return functools.partial(build, *args), counts
@@ -202,11 +211,9 @@ def read_edge_list(data: bytes | str) -> Graph:
     if not lines:
         raise EdgeListError("malformed header: empty input")
     try:
-        p, q = map(int, lines[0].split())
+        p, q = map(natural, lines[0].split())
     except ValueError:
         raise EdgeListError(f"malformed header: expected 'p q', got {lines[0]!r}") from None
-    if p < 0 or q < 0:
-        raise EdgeListError(f"malformed header: negative count in {lines[0]!r}")
     check_size(p, q)
     body = lines[1:]
     if len(body) != q:
@@ -214,7 +221,7 @@ def read_edge_list(data: bytes | str) -> Graph:
     seen: set[tuple[int, int]] = set()
     for ln in body:
         try:
-            i, j = map(int, ln.split())
+            i, j = map(natural, ln.split())
         except ValueError:
             raise EdgeListError(f"malformed edge line {ln!r}") from None
         if i == j:

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .graphs import MAX_VERTICES, Graph, check_size, degree_info
+from .graphs import MAX_VERTICES, Graph, check_size, degree_info, natural
 
 
 def _joined_copies(g: Graph, k: int, joined: Iterable[tuple[int, int]],
@@ -212,7 +212,7 @@ def split_op(text: str) -> tuple[OpDescriptor, Optional[str]]:
         return OpDescriptor(name), rest if sep else None
     param, sep, rest = rest.partition(":")
     try:
-        value = int(param)
+        value = natural(param)
     except ValueError:
         raise ValueError(f"expected '{_usage(name)}', got {text!r}") from None
     return OpDescriptor(name, value), rest if sep else None

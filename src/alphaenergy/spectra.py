@@ -21,17 +21,16 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, adjacency_matrix, degree_info
+from .graphs import DIGITS, Graph, adjacency_matrix, degree_info
 from .linalg import Spectrum, sym_eigenvalues
 
-_DECIMAL_RE = re.compile(r"\d+(\.\d+)?")
+_DECIMAL_RE = re.compile(rf"{DIGITS}(\.{DIGITS})?")
 EXACT_MAX_DENOMINATOR = 10**15   # every decimal of up to 15 places
 
 
 def plain_decimal(text: str) -> Fraction:
-    """The exact value of digits, optionally followed by a point and more
-    digits.  Signs, exponents and a bare leading point are refused."""
-    text = text.strip()
+    """The exact value of ``DIGITS``, optionally followed by a point and more
+    ``DIGITS``.  Signs, blanks, exponents and a bare point are refused."""
     if not _DECIMAL_RE.fullmatch(text):
         raise ValueError(f"alpha must be a plain decimal, got {text!r}")
     return Fraction(Decimal(text))   # Fraction(str) stops at 4300 digits

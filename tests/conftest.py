@@ -31,6 +31,18 @@ def graphs(draw, min_p: int = 1, max_p: int = 10):
     return Graph(p, tuple(edges))
 
 
+@st.composite
+def circulants(draw, max_n: int = 16):
+    """A circulant C_n(S), n = 2..max_n: vertex i ~ i + s (mod n) for each jump
+    s in S, a drawn subset of 1..n//2; one time in five, the disjoint union of
+    two copies.  Each is regular, and may be edgeless, disconnected or bipartite."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    jumps = draw(st.sets(st.integers(min_value=1, max_value=n // 2)))
+    copies = 2 if draw(st.integers(min_value=1, max_value=5)) == 1 else 1
+    return Graph(copies * n, tuple((c * n + i, c * n + (i + s) % n) for c in range(copies)
+                                   for i in range(n) for s in jumps))
+
+
 def regular_bases() -> list[tuple[str, Graph]]:
     """The standard regular test menagerie."""
     rows: list[tuple[str, Graph]] = []

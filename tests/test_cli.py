@@ -60,6 +60,14 @@ class TestSourceParsing:
         ("op:splitting:C4", "expected 'splitting:<m>', got 'splitting:C4'"),
         ("op:splitting:x:C4", "expected 'splitting:<m>', got 'splitting:x:C4'"),
         ("op:frob:C4", "unknown operation 'frob'"),
+        # a number is ASCII digits alone: no other script's digit, sign, '_' or blank
+        ("C\u0663", "cannot parse graph source 'C\u0663'"),
+        ("K2,\uff13", "cannot parse graph source 'K2,\uff13'"),
+        ("op:splitting:\u0662:C4", "expected 'splitting:<m>', got 'splitting:\u0662:C4'"),
+        ("op:splitting:+2:C4", "expected 'splitting:<m>', got 'splitting:+2:C4'"),
+        ("op:splitting:1_0:C3", "expected 'splitting:<m>', got 'splitting:1_0:C3'"),
+        ("op:splitting: 2:C4", "expected 'splitting:<m>', got 'splitting: 2:C4'"),
+        ("op:line:2 :C5", "expected 'line:<k>', got 'line:2 :C5'"),
         ("file:/does/not/exist", "no such file: /does/not/exist"),
     ]] + [pytest.param("C" + "9" * 5000,   # int() refuses it, before any size is formed
                        "Exceeds the limit (4300 digits) for integer string conversion: value "
@@ -247,6 +255,22 @@ def _cold(*argv):
                           env={**os.environ, "PYTHONPATH": path})
 
 
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the reader takes one line and goes, as `| head -1` does; stdout is
+    # block-buffered, as it is without PYTHONUNBUFFERED, so the closed pipe is
+    # met at a flush, inside a print or after the command's last one
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    argv = ["verify", "ebd", "K2", "--alphas", "0:0.9:0.0001"]
+    with subprocess.Popen([sys.executable, "-m", "alphaenergy.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert json.loads(proc.stdout.readline())["base"] == "K2"
+        proc.stdout.close()
+        assert proc.wait(timeout=20) == 141
+        assert proc.stderr.read() == b""
+
+
 class TestWeightGrammar:
     """Grid bounds are read as --alpha reads a weight, or as <int>/<int>."""
 
@@ -257,7 +281,9 @@ class TestWeightGrammar:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
 
-    @pytest.mark.parametrize("text", ["1e-1", "0.5e0", ".5", "5.", "+0.5", "0.1_0"])
+    @pytest.mark.parametrize("text", ["1e-1", "0.5e0", ".5", "5.", "+0.5", "0.1_0",
+                                      " 0.5", "0.5 ", "\u0660.\u0665", " 1/2", "1/2 ",
+                                      "\u0661/2", "1/\u0662"])
     def test_grid_refuses_what_alpha_refuses(self, capsys, text):
         assert run(capsys, "energy", "C4", "--alpha", text)[0] == 2
         for grid in (f"{text}:1:1", f"0:{text}:1", f"0:1:{text}"):
@@ -398,11 +424,23 @@ class TestUsageContract:
         ("classify", "op:closed-shadow:C4", "--alpha", "0.3", "--peers", "K8", "--tol", "nan"),
         ("classify", "C4", "--alpha", "0.3", "--tol", "inf"),
         ("classify", "C4", "--alpha", "0.3", "--tol", "-1"),
+        ("verify", "ebd", "C4", "--tol", "\u0661e-\u0666"),
+        ("verify", "ebd", "C4", "--tol", "1_0e-6"),
+        ("verify", "ebd", "C4", "--tol", "-0"),
+        ("verify", "ebd", "C4", "--tol", "+1e-8"),
+        ("verify", "ebd", "C4", "--tol", " 1e-6"),
+        ("verify", "ebd", "C4", "--tol", ".5"),
+        ("classify", "C4", "--alpha", "0.3", "--tol", "5."),
+        ("energy", "C5", "--alpha", " 0.5"),
+        ("energy", "C5", "--alpha", "\u0660.\u0665"),
     ], ids=["empty-peer", "energy-over-cap", "sweep-over-cap", "classify-over-cap",
             "sweep-grid-above-1", "verify-grid-above-1", "grid-over-point-cap",
             "line-over-iteration-cap", "family-of-5000-digits", "op-on-family-of-5000-digits",
             "verify-tol-nan", "verify-tol-inf", "verify-tol-negative", "verify-tol-not-a-number",
-            "classify-tol-nan", "classify-tol-inf", "classify-tol-negative"])
+            "classify-tol-nan", "classify-tol-inf", "classify-tol-negative",
+            "tol-arabic-indic", "tol-underscore", "tol-minus-zero", "tol-plus", "tol-blank",
+            "tol-bare-leading-point", "tol-bare-trailing-point", "alpha-blank",
+            "alpha-arabic-indic"])
     def test_usage_error(self, capsys, argv):
         rc, out, err = run(capsys, *argv)
         assert rc == 2

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from alphaenergy import (CLOSED_FORMS, AlphaValue, RegularBase, alpha,
                          alpha_energy, alpha_spectrum, cf_remark_energies,
@@ -21,7 +24,8 @@ from alphaenergy.closed_forms import (CLOSED_FORM_INSTANCES, cf_central_spectrum
                                       cf_closed_splitting_spectrum, cf_ebd_spectrum,
                                       cf_middle_spectrum, cf_splitting_spectrum,
                                       closed_form_base)
-from conftest import corrupt_coefficient, printed_splitting_spectrum
+from alphaenergy.ops import OPS
+from conftest import circulants, corrupt_coefficient, printed_splitting_spectrum
 
 SQ2 = math.sqrt(2.0)
 SQ5 = math.sqrt(5.0)
@@ -325,6 +329,23 @@ class TestIdentity:
             closed_form_identity("central", duplicate_graph(cycle(4), 1), alpha("0"))
         with pytest.raises(ValueError, match="no closed form"):
             closed_form_identity("line:2", complete(4), alpha("0"))
+
+
+@given(circulants(), st.sampled_from(CLOSED_FORM_INSTANCES), st.integers(0, 19))
+@settings(max_examples=40, deadline=None)
+def test_three_routes_agree_on_circulants(g, op, t):
+    # closed form, numeric eigensolver and exact charpoly on regular bases that
+    # may be disconnected or bipartite, where the base spectrum pins r and -r
+    # once per component; a refusal that needs no weight is not a finding
+    try:
+        desc, _, _ = closed_form_base(op, g)
+    except ValueError:
+        assume(False)
+    a = AlphaValue.from_fraction(Fraction(t, 20))
+    rec = verify_closed_form(desc, g, a)
+    assert rec.passed, rec
+    if OPS[desc.name].check(g, *desc.args)[0] <= linalg.CHARPOLY_MAX_N:
+        assert rec.exact_dev is not None and closed_form_identity(desc, g, a)
 
 
 # Weights where a closed form's 2x2 block has a double root, by operation

@@ -202,7 +202,14 @@ class TestEdgeListFormat:
         ("", "malformed header"),
         ("3\n", "malformed header"),
         ("a b\n", "malformed header"),
-        ("-1 0\n", "malformed header: negative count"),
+        ("-1 0\n", "malformed header: expected 'p q'"),   # no sign, as no count has one
+        ("+3 0\n", "malformed header: expected 'p q'"),
+        ("1_0 0\n", "malformed header: expected 'p q'"),
+        ("\u0663 0\n", "malformed header: expected 'p q'"),   # Arabic-Indic three
+        ("3 \uff10\n", "malformed header: expected 'p q'"),   # fullwidth zero
+        ("11 1\n0 1_0\n", "malformed edge line"),
+        ("3 1\n+0 2\n", "malformed edge line"),
+        ("3 1\n0 \u0662\n", "malformed edge line"),
         ("3 2\n0 1\n", "expected 2 edge lines, found 1"),
         ("3 1\n0 1\n1 2\n", "expected 1 edge lines, found 2"),
         ("3 1\n0 1 2\n", "malformed edge line"),

@@ -1,19 +1,27 @@
-"""The standalone verification script, run as the battery it is."""
+"""The standalone scripts, run as the batteries they are, and the number
+grammar that they share with the command line."""
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphaenergy import closed_forms
+from alphaenergy.cli import UsageError, _grid_bound, _tolerance
 from alphaenergy.closed_forms import CLOSED_FORM_INSTANCES
-from alphaenergy.graphs import complete, cycle
+from alphaenergy.graphs import (MAX_VERTICES, complete, cycle, natural, parse_family,
+                                read_edge_list)
 from alphaenergy.linalg import CHARPOLY_MAX_N
-from alphaenergy.ops import OPS, apply_op, parse_op
+from alphaenergy.ops import OPS, apply_op, parse_op, split_op
+from alphaenergy.spectra import plain_decimal
 
 
 
@@ -30,7 +38,8 @@ observations_script = _load("observations")
 
 
 @pytest.mark.parametrize("text", ["0", "-1/4", "2", "x", "1/0", "1e-1", ".5", "+1/2",
-                                  "1/10002", "1/100000000"])
+                                  "1/10002", "1/100000000", " 1/2", "1/2 ", "\u0661/2",
+                                  "\u0660.\u0665"])
 def test_grid_step_rejects(text):
     with pytest.raises(argparse.ArgumentTypeError, match=r"\(0, 1\]"):
         verify_script.grid_step(text)
@@ -82,6 +91,13 @@ def test_prove_sizes_the_operated_graph_from_the_operation_table(monkeypatch):
     (verify_script, ["--step", "1", "--tol=inf"], "--tol must be a finite number >= 0"),
     (verify_script, ["--tol", "nan"], "--tol must be a finite number >= 0"),
     (verify_script, ["--tol=-1"], "--tol must be a finite number >= 0"),
+    # a count, like every number in input, is ASCII digits alone
+    (observations_script, ["--max-failures", " +1_0"], "--max-failures must be an integer >= 0"),
+    (observations_script, ["--max-failures", "+1"], "--max-failures must be an integer >= 0"),
+    (observations_script, ["--max-failures", "1_0"], "--max-failures must be an integer >= 0"),
+    (observations_script, ["--max-failures", "1 "], "--max-failures must be an integer >= 0"),
+    (observations_script, ["--max-failures", "\u0663"], "--max-failures must be an integer >= 0"),
+    (observations_script, ["--tol", "1_0e-6"], "--tol must be a finite number >= 0"),
 ])
 def test_meaningless_flag_values_are_usage_errors(capsys, script, argv, message):
     # a NaN tolerance passes every equality bullet, an infinite one every
@@ -98,3 +114,39 @@ def test_observations_zero_failures_prints_only_counts(capsys):
     assert observations_script.main(["--max-failures", "0"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2:] == ["       ... 11 more", "5/6 bullets hold at tol 1e-06"]
+
+
+# Each reader of a number in input, with what its grammar accepts of the same
+# text and, for the graph readers, the range it accepts.  Written here with
+# [0-9], apart from the program's own rule.  In an edge-list file, blanks
+# around a number separate it from the next.
+_NAT = "[0-9]+"
+_DEC = rf"{_NAT}(\.{_NAT})?"
+_READERS = {
+    "natural": (natural, _NAT),
+    "family": (lambda t: parse_family("P" + t), _NAT, lambda t: 1 <= int(t) <= MAX_VERTICES),
+    "operation": (lambda t: split_op("shadow:" + t), _NAT),
+    "edge-list header": (lambda t: read_edge_list(f"{t} 0\n"), rf"[ \t]*{_NAT}[ \t]*",
+                         lambda t: int(t) <= MAX_VERTICES),
+    "edge line": (lambda t: read_edge_list(f"10 1\n{t} 9\n"), rf"[ \t]*{_NAT}[ \t]*",
+                  lambda t: int(t) < 9),
+    "weight": (plain_decimal, _DEC),
+    "grid bound": (_grid_bound, rf"{_DEC}|{_NAT}/{_NAT}",
+                   lambda t: "/" not in t or int(t.split("/")[1]) > 0),
+    "--tol": (_tolerance, rf"{_DEC}([eE][-+]?{_NAT})?", lambda t: math.isfinite(float(t))),
+    "--max-failures": (observations_script.failure_count, _NAT),
+}
+
+
+@given(st.text(st.sampled_from("0179\u0663\uff11\u00b2 \t+-_.eE/"), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_every_reader_takes_ascii_digits_alone(text):
+    for name, (read, grammar, *in_range) in _READERS.items():
+        try:
+            read(text)
+            accepted = True
+        except (ValueError, ZeroDivisionError, UsageError):
+            accepted = False
+        want = (re.fullmatch(grammar, text) is not None
+                and all(ok(text) for ok in in_range))
+        assert accepted == want, (name, text)
