@@ -11,7 +11,7 @@ from .ops import (OpDescriptor, apply_op, central_graph, closed_shadow_graph,
 from .linalg import (Spectrum, charpoly_exact, make_spectrum, multiset_deviation,
                      poly_roots_real, sym_eigenvalues)
 from .spectra import (AlphaValue, EnergyReport, a_alpha_exact, a_alpha_matrix,
-                      alpha, alpha_energies, alpha_energy, alpha_spectrum)
+                      alpha_energies, alpha_energy, alpha_spectrum)
 from .closed_forms import (CLOSED_FORMS, ClosedForm, RegularBase,
                            VerificationRecord, cf_remark_energies,
                            closed_form_identity, verify_closed_form)
@@ -33,7 +33,7 @@ __all__ = [
     "Spectrum", "charpoly_exact", "make_spectrum", "multiset_deviation",
     "poly_roots_real", "sym_eigenvalues",
     "AlphaValue", "EnergyReport", "a_alpha_exact", "a_alpha_matrix",
-    "alpha", "alpha_energies", "alpha_energy", "alpha_spectrum",
+    "alpha_energies", "alpha_energy", "alpha_spectrum",
     "CLOSED_FORMS", "ClosedForm", "RegularBase", "VerificationRecord",
     "cf_remark_energies",
     "closed_form_identity", "verify_closed_form",

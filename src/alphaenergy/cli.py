@@ -58,18 +58,18 @@ def _usage(prefix: str = ""):
 
 
 def parse_graph_source(text: str, ops: Sequence[OpDescriptor] = ()) -> tuple[str, Graph]:
-    """Resolve a source string to (label, graph), with ``ops`` (outermost
-    first) applied after its own.  The ``op:`` prefixes are peeled in a loop
-    and applied inside out; over a family the innermost operation is sized
-    from the family's counts before the family is built."""
-    ops, label = list(ops), ""
+    """Resolve a source string to (label, graph), the label as typed, with ``ops``
+    (outermost first) applied after its own.  The ``op:`` prefixes are peeled in
+    a loop and applied inside out; over a family the innermost operation is
+    sized from the family's counts before the family is built."""
+    ops, label = list(ops), text
     while text.startswith("op:"):
         with _usage():
             op, rest = split_op(text[3:])
         if not rest:
             raise UsageError(f"operation source needs 'op:<operation>:<source>', got {text!r}")
         ops.append(op)
-        label, text = f"{label}op:{op_label(op)}:", rest
+        text = rest
     if text.startswith("file:"):
         p = Path(text[5:])
         if not p.is_file():
@@ -86,7 +86,7 @@ def parse_graph_source(text: str, ops: Sequence[OpDescriptor] = ()) -> tuple[str
     with _usage():
         for op in reversed(ops):
             g = apply_op(op, g)
-    return label + text, g
+    return label, g
 
 
 def _operation(text: str) -> OpDescriptor:
@@ -124,8 +124,7 @@ def _parse_alpha_grid(text: str) -> list[AlphaValue]:
         raise UsageError(f"alpha grid must lie in [0, 1], got {text!r}")
     count = (hi - lo) // step + 1
     if count > MAX_GRID_POINTS:
-        raise UsageError(f"alpha grid {text!r} has more than the cap of "
-                         f"{MAX_GRID_POINTS} points")
+        raise UsageError(f"alpha grid {text!r} has more than the cap of {MAX_GRID_POINTS} points")
     return [AlphaValue.from_fraction(lo + k * step) for k in range(count)]
 
 
@@ -152,8 +151,7 @@ def _tolerance(text: str) -> float:
 def _measurable(label: str, n: int) -> None:
     """Reject, before any work, an order the numeric eigensolver cannot take."""
     if not 1 <= n <= SYM_EIG_MAX_N:
-        raise UsageError(f"{label} has {n} vertices; numeric commands "
-                         f"need 1..{SYM_EIG_MAX_N}")
+        raise UsageError(f"{label} has {n} vertices; numeric commands need 1..{SYM_EIG_MAX_N}")
 
 
 def _numeric_source(text: str, op: Optional[OpDescriptor] = None) -> tuple[str, Graph]:
@@ -255,10 +253,17 @@ def _cmd_table1(args) -> int:
     return _write_table(table1(), args.format)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that drops a message its stream refuses, on 3.10 as on 3.12."""
+
+    def _print_message(self, message, file=None):
+        with contextlib.suppress(OSError):
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="alphaenergy",
-                                 description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = _Parser(prog="alphaenergy", description=__doc__,
+                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="print a graph as an edge list")
@@ -318,15 +323,20 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()      # a closed pipe shows here, not in the exit-time flush
-        return code
     except SystemExit as e:     # argparse's own usage errors, and --help
-        return e.code if isinstance(e.code, int) else 2
+        code = e.code if isinstance(e.code, int) else 2
     except UsageError as e:     # from an argument's type, or from a command
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        with contextlib.suppress(BrokenPipeError):   # the flush below meets it again
+            print(f"error: {e}", file=sys.stderr)
+        code = 2
     except BrokenPipeError:     # stdout's reader is gone, as after `| head -1`
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())   # a quiet exit flush
         return 141              # 128 + SIGPIPE, as a shell reports it
+    try:                        # argparse drops a failed write but keeps it buffered
+        sys.stderr.flush()
+    except BrokenPipeError:     # stderr's reader is gone: a quiet exit flush, same code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    return code
 
 
 if __name__ == "__main__":

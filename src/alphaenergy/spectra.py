@@ -64,17 +64,6 @@ class AlphaValue:
         return cls(numeric=float(fr), exact=exact)
 
 
-def alpha(x: "AlphaValue | Fraction | str | float | int") -> AlphaValue:
-    """Coerce to AlphaValue: str parses, Fraction/int stay exact, float is numeric."""
-    if isinstance(x, AlphaValue):
-        return x
-    if isinstance(x, str):
-        return AlphaValue.parse(x)
-    if isinstance(x, (Fraction, int)):
-        return AlphaValue.from_fraction(x)
-    return AlphaValue(numeric=float(x))
-
-
 def a_alpha_matrix(g: Graph, a: AlphaValue) -> np.ndarray:
     deg = np.array(degree_info(g).degrees, dtype=float)
     m = (1.0 - a.numeric) * adjacency_matrix(g)

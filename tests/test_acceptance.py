@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from alphaenergy import (CLOSED_FORMS, AlphaValue, RegularBase, alpha,
+from alphaenergy import (CLOSED_FORMS, AlphaValue, RegularBase,
                          alpha_energy, alpha_spectrum, a_alpha_exact,
                          apply_op, cf_remark_energies, charpoly_exact,
                          complete, complete_bipartite, cycle, degree_info,
@@ -301,7 +301,7 @@ def test_criterion_5_observation_battery():
         f"{label} alpha={al}" for label, al in sorted(SPLITTING_NOT_HYPERENERGETIC)
         if not published[label, al]
         > reference_energy(splitting_graph(SPLITTING_BASES[label], 1).p,
-                           alpha(al)) + rep.tol]
+                           AlphaValue(numeric=al)) + rep.tol]
 
     print("    documented failing cases: "
           + ", ".join(f"{label} alpha={al}" for label, al in sorted(cases)))
@@ -330,7 +330,7 @@ def test_criterion_6_property_suite():
 
     rng = random.Random(20260817)
     herd = [random_graph(rng, max_p=30) for _ in range(200)]
-    grid = [alpha(t) for t in ("0", "0.25", "0.5", "0.75", "0.9")]
+    grid = [AlphaValue.parse(t) for t in ("0", "0.25", "0.5", "0.75", "0.9")]
     for i, g in enumerate(herd):
         for a in grid:
             spec = alpha_spectrum(g, a)
@@ -340,8 +340,8 @@ def test_criterion_6_property_suite():
 
     small = [random_graph(rng, max_p=14) for _ in range(50)]
     for i, g in enumerate(small):
-        base = alpha_spectrum(g, alpha("0")).values
-        dup = alpha_spectrum(duplicate_graph(g, 1), alpha("0")).values
+        base = alpha_spectrum(g, AlphaValue.parse("0")).values
+        dup = alpha_spectrum(duplicate_graph(g, 1), AlphaValue.parse("0")).values
         want = sorted([x for x in base] + [-x for x in base], reverse=True)
         if multiset_deviation(dup, want) > 1e-8:
             failures.append(f"duplicate symmetry: graph #{i}")
@@ -366,7 +366,7 @@ def test_criterion_6_property_suite():
                                 f"{got} != {expect}")
 
     for label, g in regular_bases():
-        e0 = alpha_energy(g, alpha("0")).energy
+        e0 = alpha_energy(g, AlphaValue.parse("0")).energy
         for a in tenth_grid():
             got = alpha_energy(g, a).energy
             if abs(got - (1 - a.numeric) * e0) > 1e-9:

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from alphaenergy import (SweepTable, alpha, alpha_energy, classify,
+from alphaenergy import (AlphaValue, SweepTable, alpha_energy, classify,
                          closed_shadow_graph, complete, complete_bipartite,
                          cycle, degree_info, energy_report_json, format_csv,
                          format_table_json, observations_report, path, petersen,
@@ -27,18 +27,18 @@ TABLE1_LABELS = [
 
 class TestReference:
     def test_values(self):
-        assert reference_energy(8, alpha("0")) == 14.0
-        assert reference_energy(8, alpha("0.3")) == pytest.approx(9.8)
-        assert reference_energy(1, alpha("0")) == 0.0
+        assert reference_energy(8, AlphaValue.parse("0")) == 14.0
+        assert reference_energy(8, AlphaValue.parse("0.3")) == pytest.approx(9.8)
+        assert reference_energy(1, AlphaValue.parse("0")) == 0.0
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            reference_energy(0, alpha("0"))
+            reference_energy(0, AlphaValue.parse("0"))
 
 
 class TestClassify:
     def test_borderenergetic(self):
-        res = classify(closed_shadow_graph(cycle(4)), alpha("0.3"),
+        res = classify(closed_shadow_graph(cycle(4)), AlphaValue.parse("0.3"),
                        peers=[("K8", complete(8))], graph_id="D2[C4]")
         assert res.verdict == "borderenergetic"
         assert res.equal_partners == ("K8",)
@@ -46,23 +46,23 @@ class TestClassify:
         assert res.reference == pytest.approx(9.8)
 
     def test_hyperenergetic(self):
-        res = classify(splitting_graph(cycle(4), 1), alpha("0.7"))
+        res = classify(splitting_graph(cycle(4), 1), AlphaValue.parse("0.7"))
         assert res.verdict == "hyperenergetic"
 
     def test_neither(self):
-        res = classify(path(4), alpha("0"))
+        res = classify(path(4), AlphaValue.parse("0"))
         assert res.verdict == "neither"
         assert res.equal_partners == ()
 
     @pytest.mark.parametrize("n", [1, 2, 8])
     def test_complete_graph_is_not_its_own_border(self, n):
         # K_n matches the reference exactly, but borderenergetic excludes K_n
-        res = classify(complete(n), alpha("0.3"))
+        res = classify(complete(n), AlphaValue.parse("0.3"))
         assert res.energy == pytest.approx(res.reference)
         assert res.verdict == "neither"
 
     def test_border_takes_precedence(self):
-        res = classify(splitting_graph(cycle(4), 1), alpha("0.7"), tol=10.0)
+        res = classify(splitting_graph(cycle(4), 1), AlphaValue.parse("0.7"), tol=10.0)
         assert res.verdict == "borderenergetic"
 
     def test_agrees_with_the_battery(self):
@@ -82,19 +82,19 @@ class TestClassify:
 
     def test_scale_consistency_for_regular_graphs(self):
         g = closed_shadow_graph(cycle(6))
-        verdicts = {classify(g, alpha(t)).verdict
+        verdicts = {classify(g, AlphaValue.parse(t)).verdict
                     for t in ("0", "0.25", "0.5", "0.75")}
         assert verdicts == {"borderenergetic"}
 
 
 class TestSweepTable:
     def test_cells_match_energy(self):
-        grid = (alpha("0"), alpha("0.5"))
+        grid = (AlphaValue.parse("0"), AlphaValue.parse("0.5"))
         t = sweep_table([("C4", cycle(4)), ("petersen", petersen())], grid)
         assert t.row_labels == ("C4", "petersen")
         assert t.cells[0][0] == pytest.approx(4.0)
         assert t.cells[1][1] == pytest.approx(
-            alpha_energy(petersen(), alpha("0.5")).energy)
+            alpha_energy(petersen(), AlphaValue.parse("0.5")).energy)
 
     def test_tenth_grid(self):
         grid = tenth_grid()
@@ -128,12 +128,12 @@ class TestTable1:
 
 class TestFormatting:
     def test_csv_header_and_rounding(self):
-        t = SweepTable(row_labels=("x",), alphas=(alpha("0"),),
+        t = SweepTable(row_labels=("x",), alphas=(AlphaValue.parse("0"),),
                        cells=((0.00005,),))
         assert format_csv(t) == "graph,alpha_0.0\nx,0.0001\n"
 
     def test_csv_negative_tie_rounds_away(self):
-        t = SweepTable(row_labels=("x",), alphas=(alpha("0"),),
+        t = SweepTable(row_labels=("x",), alphas=(AlphaValue.parse("0"),),
                        cells=((-0.00005,),))
         assert format_csv(t) == "graph,alpha_0.0\nx,-0.0001\n"
 
@@ -156,7 +156,7 @@ class TestFormatting:
         assert out["rows"][0]["energies"][0] == pytest.approx(14.0)
 
     def test_energy_report_json(self):
-        rep = alpha_energy(cycle(4), alpha("0.5"), graph_id="C4")
+        rep = alpha_energy(cycle(4), AlphaValue.parse("0.5"), graph_id="C4")
         out = json.loads(energy_report_json(rep, degree_info(cycle(4)).regular))
         assert out["graph"] == {"id": "C4", "p": 4, "q": 4, "regular": 2}
         assert out["alpha"] == 0.5

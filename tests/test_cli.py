@@ -227,6 +227,11 @@ class TestSweep:
         assert lines[1].startswith("C4,4.0000,")
         assert lines[2].startswith("K8,14.0000,")
 
+    def test_label_is_the_source_as_typed(self, capsys):
+        # an operation's parameter keeps its zeros, as a family's order does
+        rc, out, _ = run(capsys, "sweep", "op:splitting:02:C05", "--alphas", "0:0:1")
+        assert (rc, out.splitlines()[1]) == (0, "op:splitting:02:C05,19.4164")
+
     def test_default_grid(self, capsys):
         rc, out, _ = run(capsys, "sweep", "C4")
         assert rc == 0
@@ -269,6 +274,27 @@ def test_closed_stdout_exits_141_without_a_traceback():
         proc.stdout.close()
         assert proc.wait(timeout=20) == 141
         assert proc.stderr.read() == b""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [["gen", "C2"], ["nosuch"], ["energy", "C5"]])
+def test_usage_error_exits_2_with_stderr_closed(argv, unbuffered):
+    # stderr is a pipe whose reader is gone before the child starts, so the
+    # error line meets a closed pipe at its write or at a flush, in either
+    # buffering mode; the first argv fails in a type, the others in argparse
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "alphaenergy.cli", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=write_end, timeout=20)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stdout) == (2, b"")
 
 
 class TestWeightGrammar:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from alphaenergy import (CLOSED_FORMS, AlphaValue, RegularBase, alpha,
+from alphaenergy import (CLOSED_FORMS, AlphaValue, RegularBase,
                          alpha_energy, alpha_spectrum, cf_remark_energies,
                          closed_form_identity, closed_splitting_graph,
                          complete, complete_bipartite, cycle, duplicate_graph,
@@ -80,27 +80,29 @@ class TestRegularBase:
 class TestFrozenSpectra:
     def test_middle_c4_adjacency(self):
         # q = p, so no repeated value; pairs from lambda in {2, 0, 0, -2}
-        got = CLOSED_FORMS["middle"](RegularBase.from_graph(cycle(4)), None, alpha("0"))
+        got = CLOSED_FORMS["middle"](RegularBase.from_graph(cycle(4)), None,
+                                     AlphaValue.parse("0"))
         want = sorted([1 + SQ5, 1 - SQ5, SQ2, -SQ2, SQ2, -SQ2, 0.0, -2.0],
                       reverse=True)
         assert multiset_deviation(got.values, want) < 1e-12
 
     def test_central_k4_adjacency(self):
-        got = CLOSED_FORMS["central"](RegularBase.from_graph(complete(4)), None, alpha("0"))
+        got = CLOSED_FORMS["central"](RegularBase.from_graph(complete(4)), None,
+                                      AlphaValue.parse("0"))
         want = sorted([SQ6, -SQ6, SQ2, -SQ2, SQ2, -SQ2, SQ2, -SQ2, 0.0, 0.0],
                       reverse=True)
         assert multiset_deviation(got.values, want) < 1e-12
 
     def test_splitting_repeated_value(self):
         b = RegularBase.from_graph(cycle(4))
-        got = CLOSED_FORMS["splitting"](b, 3, alpha("0.5"))
+        got = CLOSED_FORMS["splitting"](b, 3, AlphaValue.parse("0.5"))
         assert len(got.values) == 16
         # repeated a*r with multiplicity p*(m-1)
         assert sum(1 for v in got.values if abs(v - 1.0) < 1e-12) >= 8
 
     def test_ebd_energy_c6_at_half(self):
         b = RegularBase.from_graph(cycle(6))
-        spec = CLOSED_FORMS["ebd"](b, None, alpha("0.5"))
+        spec = CLOSED_FORMS["ebd"](b, None, AlphaValue.parse("0.5"))
         offset = 2 * 0.5 * (2 * b.q + b.p) / (2 * b.p)
         energy = math.fsum(abs(v - offset) for v in spec.values)
         assert energy == pytest.approx(8.0)
@@ -110,33 +112,35 @@ class TestPreconditions:
     def test_middle_needs_r2(self):
         b = RegularBase.from_graph(complete(2))
         with pytest.raises(ValueError, match="r >= 2"):
-            CLOSED_FORMS["middle"](b, None, alpha("0"))
+            CLOSED_FORMS["middle"](b, None, AlphaValue.parse("0"))
 
     def test_splitting_needs_m1(self):
         b = RegularBase.from_graph(cycle(4))
         msg = "splitting needs m >= 1, got 0"   # the operation's own refusal
         with pytest.raises(ValueError, match=msg):
-            CLOSED_FORMS["splitting"](b, 0, alpha("0.5"))
+            CLOSED_FORMS["splitting"](b, 0, AlphaValue.parse("0.5"))
         with pytest.raises(ValueError, match=msg):
-            verify_closed_form("splitting:0", cycle(4), alpha("0.5"))
+            verify_closed_form("splitting:0", cycle(4), AlphaValue.parse("0.5"))
 
     def test_central_needs_r2_and_connected(self, monkeypatch):
         calls = _counted_eigensolves(monkeypatch)
         with pytest.raises(ValueError, match="r >= 2"):
-            CLOSED_FORMS["central"](RegularBase.from_graph(complete(2)), None, alpha("0"))
+            CLOSED_FORMS["central"](RegularBase.from_graph(complete(2)), None,
+                                    AlphaValue.parse("0"))
         two_squares = duplicate_graph(cycle(4), 1)
         assert RegularBase.from_graph(two_squares).r == 2
         with pytest.raises(ValueError, match="connected"):
-            CLOSED_FORMS["central"](RegularBase.from_graph(two_squares), None, alpha("0"))
+            CLOSED_FORMS["central"](RegularBase.from_graph(two_squares), None,
+                                    AlphaValue.parse("0"))
         assert calls == []   # each refusal comes before the base is solved
 
     def test_verify_rejects_irregular_base(self):
         with pytest.raises(ValueError, match="regular"):
-            verify_closed_form("ebd", path(4), alpha("0.5"))
+            verify_closed_form("ebd", path(4), AlphaValue.parse("0.5"))
 
     def test_verify_rejects_ops_without_closed_form(self):
         with pytest.raises(ValueError, match="no closed form"):
-            verify_closed_form("line:2", complete(4), alpha("0"))
+            verify_closed_form("line:2", complete(4), AlphaValue.parse("0"))
 
 
 class TestVerification:
@@ -145,13 +149,13 @@ class TestVerification:
                                     "closed-shadow", "ebd"])
     def test_passes_on_regular_bases(self, op):
         for g in (cycle(5), complete(4), complete_bipartite(3, 3)):
-            rec = verify_closed_form(op, g, alpha("0.3"))
+            rec = verify_closed_form(op, g, AlphaValue.parse("0.3"))
             assert rec.passed, f"{op} dev {rec.max_dev:.3e}"
             assert rec.max_dev < 1e-8
 
     def test_exact_route_forced(self):
         # an exact weight on a small enough graph is what turns the exact route on
-        rec = verify_closed_form("ebd", cycle(4), alpha("0.25"))
+        rec = verify_closed_form("ebd", cycle(4), AlphaValue.parse("0.25"))
         assert rec.passed and rec.exact_dev is not None
 
     def test_irrational_alpha_skips_exact_route(self):
@@ -160,7 +164,7 @@ class TestVerification:
         assert rec.passed
 
     def test_exact_dev_only_when_exact_oracle_ran(self):
-        ran = verify_closed_form("ebd", cycle(4), alpha("0.25"))
+        ran = verify_closed_form("ebd", cycle(4), AlphaValue.parse("0.25"))
         assert ran.exact_dev is not None and ran.exact_dev <= ran.max_dev
         assert "exact_dev" not in ran.to_json_dict()
         irrational = AlphaValue(numeric=1 / math.sqrt(3))
@@ -168,21 +172,21 @@ class TestVerification:
         assert verify_closed_form("ebd", cycle(4),
                                   AlphaValue(numeric=0.25)).exact_dev is None
         # ebd(C40) has 80 vertices, over the exact oracle's size limit
-        assert verify_closed_form("ebd", cycle(40), alpha("0.25")).exact_dev is None
+        assert verify_closed_form("ebd", cycle(40), AlphaValue.parse("0.25")).exact_dev is None
 
     @pytest.mark.parametrize("op, base, text, exact", [
         ("ebd", cycle(4), "0.25", None), ("middle", cycle(6), "0.3", None),
         ("central", complete(4), "0.7", False), ("splitting:2", cycle(5), "0.5", True)])
     def test_max_dev_is_the_worse_oracle(self, op, base, text, exact):
         # exact=False stands for a numeric-only weight, which skips the exact oracle
-        a = AlphaValue(numeric=float(text)) if exact is False else alpha(text)
+        a = AlphaValue(numeric=float(text)) if exact is False else AlphaValue.parse(text)
         rec = verify_closed_form(op, base, a)
         assert rec.max_dev == max(rec.numeric_dev, rec.exact_dev or 0.0)
         assert (rec.exact_dev is None) == (exact is False)
         assert "numeric_dev" not in rec.to_json_dict()
 
     def test_record_shape(self):
-        rec = verify_closed_form("closed-shadow", cycle(4), alpha("0.5"),
+        rec = verify_closed_form("closed-shadow", cycle(4), AlphaValue.parse("0.5"),
                                  base_id="C4")
         assert rec.op == "closed-shadow"
         assert rec.base == "C4"
@@ -191,16 +195,16 @@ class TestVerification:
         assert set(d) == {"op", "base", "alpha", "max_dev", "pass"}
 
     def test_default_base_label(self):
-        rec = verify_closed_form("ebd", cycle(4), alpha("0"))
+        rec = verify_closed_form("ebd", cycle(4), AlphaValue.parse("0"))
         assert rec.base == "graph(p=4,q=4)"
 
     def test_deviation_notes(self):
         assert verify_closed_form("splitting:1", cycle(4),
-                                  alpha("0")).paper_deviation is not None
+                                  AlphaValue.parse("0")).paper_deviation is not None
         assert verify_closed_form("central", cycle(4),
-                                  alpha("0")).paper_deviation is not None
+                                  AlphaValue.parse("0")).paper_deviation is not None
         assert verify_closed_form("ebd", cycle(4),
-                                  alpha("0")).paper_deviation is None
+                                  AlphaValue.parse("0")).paper_deviation is None
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_printed_splitting_discriminant_fails(self, m):
@@ -208,7 +212,7 @@ class TestVerification:
         # where alpha > 0, so the printed form passes at 0 and fails after
         for g in (cycle(5), complete(4), complete_bipartite(3, 3)):
             for t in ("0", "0.1", "0.5", "0.9"):
-                a = alpha(t)
+                a = AlphaValue.parse(t)
                 numeric = alpha_spectrum(splitting_graph(g, m), a).values
                 dev = multiset_deviation(printed_splitting_spectrum(g, m, a),
                                          numeric)
@@ -216,14 +220,14 @@ class TestVerification:
 
     def test_perturbed_coefficient_fails(self, monkeypatch):
         corrupt_coefficient(monkeypatch, "ebd", "adj_one", 1.001)
-        rec = verify_closed_form("ebd", cycle(5), alpha("0.3"))
+        rec = verify_closed_form("ebd", cycle(5), AlphaValue.parse("0.3"))
         assert not rec.passed
 
     def test_registry_is_the_checked_instances(self):
         assert set(CLOSED_FORMS) == {parse_op(t).name for t in CLOSED_FORM_INSTANCES}
         for op in ("shadow:2", "duplicate:1", "line:1"):
             with pytest.raises(ValueError, match="no closed form"):
-                verify_closed_form(op, complete(4), alpha("0"))
+                verify_closed_form(op, complete(4), AlphaValue.parse("0"))
 
     @pytest.mark.parametrize("op_text", CLOSED_FORM_INSTANCES)
     def test_private_dispatch_name_matches_public_callers(self, op_text):
@@ -232,7 +236,7 @@ class TestVerification:
         public = {"middle": cf_middle_spectrum, "central": cf_central_spectrum,
                   "closed-splitting": cf_closed_splitting_spectrum,
                   "closed-shadow": cf_closed_shadow_spectrum, "ebd": cf_ebd_spectrum}
-        op, a = parse_op(op_text), alpha("0.3")
+        op, a = parse_op(op_text), AlphaValue.parse("0.3")
         for g in (cycle(5), complete(4), petersen()):
             b = RegularBase.from_graph(g)
             got = closed_forms._CF_DISPATCH[op.name](b, op.param, a, None)
@@ -270,7 +274,7 @@ def test_exact_oracle_isolates_near_the_numeric_spectrum(monkeypatch):
     monkeypatch.setattr(linalg, "_sturm_chain", no_sturm)
     for op_text, g in (("middle", cycle(8)), ("central", petersen()),
                        ("closed-splitting", complete_bipartite(3, 3))):
-        rec = verify_closed_form(op_text, g, alpha("0.3"))
+        rec = verify_closed_form(op_text, g, AlphaValue.parse("0.3"))
         assert rec.passed and rec.exact_dev is not None and rec.exact_dev < 1e-12
 
 
@@ -292,7 +296,7 @@ class TestIdentity:
                   "splitting": "splitting:2", "closed-splitting": "closed-splitting",
                   "closed-shadow": "closed-shadow", "ebd": "ebd"}
         bases = [cycle(4), cycle(5), complete(4), complete_bipartite(3, 3), petersen()]
-        grid = [alpha(t) for t in ("0", "0.25", "0.5", "0.75")]
+        grid = [AlphaValue.parse(t) for t in ("0", "0.25", "0.5", "0.75")]
         undetected, checked = [], 0
         for name, op_text in probes.items():
             for coeff, default in CLOSED_FORMS[name].coeffs.items():
@@ -308,10 +312,10 @@ class TestIdentity:
     def test_makes_no_eigensolve(self, monkeypatch):
         calls = _counted_eigensolves(monkeypatch)
         for op_text in CLOSED_FORM_INSTANCES:
-            assert closed_form_identity(op_text, complete(4), alpha("0.25"))
+            assert closed_form_identity(op_text, complete(4), AlphaValue.parse("0.25"))
             assert closed_form_base(op_text, complete(4))[2].r == 3
         assert calls == []
-        verify_closed_form("ebd", complete(4), alpha("0.25"))   # the count works
+        verify_closed_form("ebd", complete(4), AlphaValue.parse("0.25"))   # the count works
         assert calls
 
     def test_irrational_alpha_raises(self):
@@ -320,15 +324,15 @@ class TestIdentity:
 
     def test_irregular_base_raises(self):
         with pytest.raises(ValueError, match="regular"):
-            closed_form_identity("ebd", path(4), alpha("0.5"))
+            closed_form_identity("ebd", path(4), AlphaValue.parse("0.5"))
 
     def test_preconditions_and_unknown_ops_raise(self):
         with pytest.raises(ValueError, match="r >= 2"):
-            closed_form_identity("middle", complete(2), alpha("0"))
+            closed_form_identity("middle", complete(2), AlphaValue.parse("0"))
         with pytest.raises(ValueError, match="connected"):
-            closed_form_identity("central", duplicate_graph(cycle(4), 1), alpha("0"))
+            closed_form_identity("central", duplicate_graph(cycle(4), 1), AlphaValue.parse("0"))
         with pytest.raises(ValueError, match="no closed form"):
-            closed_form_identity("line:2", complete(4), alpha("0"))
+            closed_form_identity("line:2", complete(4), AlphaValue.parse("0"))
 
 
 @given(circulants(), st.sampled_from(CLOSED_FORM_INSTANCES), st.integers(0, 19))
@@ -397,54 +401,54 @@ def test_verify_passes_next_to_double_root(command, capsys):
 class TestRemarkEnergies:
     def test_shadow_identity(self):
         b = RegularBase.from_graph(petersen())
-        want = cf_remark_energies(b, "shadow:2", alpha("0.3"))
+        want = cf_remark_energies(b, "shadow:2", AlphaValue.parse("0.3"))
         assert want == pytest.approx(2 * 0.7 * 16.0)
-        got = alpha_energy(shadow_graph(petersen(), 2), alpha("0.3")).energy
+        got = alpha_energy(shadow_graph(petersen(), 2), AlphaValue.parse("0.3")).energy
         assert abs(got - want) < 1e-9
 
     def test_duplicate_identity(self):
         b = RegularBase.from_graph(cycle(6))
-        want = cf_remark_energies(b, "duplicate:2", alpha("0.4"))
+        want = cf_remark_energies(b, "duplicate:2", AlphaValue.parse("0.4"))
         assert want == pytest.approx(4 * 0.6 * 8.0)
-        got = alpha_energy(duplicate_graph(cycle(6), 2), alpha("0.4")).energy
+        got = alpha_energy(duplicate_graph(cycle(6), 2), AlphaValue.parse("0.4")).energy
         assert abs(got - want) < 1e-9
 
     def test_line_identity_k4(self):
         b = RegularBase.from_graph(complete(4))
-        want = cf_remark_energies(b, "line:2", alpha("0.3"))
+        want = cf_remark_energies(b, "line:2", AlphaValue.parse("0.3"))
         assert want == pytest.approx(0.7 * 24.0)
-        got = alpha_energy(iterated_line_graph(complete(4), 2), alpha("0.3")).energy
+        got = alpha_energy(iterated_line_graph(complete(4), 2), AlphaValue.parse("0.3")).energy
         assert abs(got - want) < 1e-6
 
     def test_line_identity_petersen(self):
         b = RegularBase.from_graph(petersen())
-        assert cf_remark_energies(b, "line:2", alpha("0")) == pytest.approx(60.0)
+        assert cf_remark_energies(b, "line:2", AlphaValue.parse("0")) == pytest.approx(60.0)
 
     def test_rejects(self, monkeypatch):
         calls = _counted_eigensolves(monkeypatch)
         b4 = RegularBase.from_graph(cycle(4))
         bk4 = RegularBase.from_graph(complete(4))
         with pytest.raises(ValueError, match="m >= 2"):
-            cf_remark_energies(bk4, "shadow:1", alpha("0"))
+            cf_remark_energies(bk4, "shadow:1", AlphaValue.parse("0"))
         with pytest.raises(ValueError, match="m >= 1"):
-            cf_remark_energies(bk4, "duplicate:0", alpha("0"))
+            cf_remark_energies(bk4, "duplicate:0", AlphaValue.parse("0"))
         # the operation's own cap: 2**13 copies are never built, so not summed
         with pytest.raises(ValueError, match="duplication result would exceed 4096 vertices"):
-            cf_remark_energies(bk4, "duplicate:13", alpha("0"))
+            cf_remark_energies(bk4, "duplicate:13", AlphaValue.parse("0"))
         with pytest.raises(ValueError, match="k >= 2"):
-            cf_remark_energies(bk4, "line:1", alpha("0"))
+            cf_remark_energies(bk4, "line:1", AlphaValue.parse("0"))
         with pytest.raises(ValueError, match="r >= 3"):
-            cf_remark_energies(b4, "line:2", alpha("0"))
+            cf_remark_energies(b4, "line:2", AlphaValue.parse("0"))
         with pytest.raises(ValueError, match="alpha < 1"):
-            cf_remark_energies(bk4, "shadow:2", alpha("1"))
+            cf_remark_energies(bk4, "shadow:2", AlphaValue.parse("1"))
         with pytest.raises(ValueError, match="no energy identity"):
-            cf_remark_energies(bk4, "middle", alpha("0"))
+            cf_remark_energies(bk4, "middle", AlphaValue.parse("0"))
         assert calls == []   # each refusal comes before the base is solved
 
 
 class TestClosedSplittingAgainstTable:
     def test_c4_energy_alpha0(self):
-        rec = verify_closed_form("closed-splitting", cycle(4), alpha("0"))
+        rec = verify_closed_form("closed-splitting", cycle(4), AlphaValue.parse("0"))
         assert rec.passed
-        got = alpha_energy(closed_splitting_graph(cycle(4)), alpha("0")).energy
+        got = alpha_energy(closed_splitting_graph(cycle(4)), AlphaValue.parse("0")).energy
         assert got == pytest.approx(13.153, abs=5e-4)

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alphaenergy import (AlphaValue, Spectrum, a_alpha_exact, a_alpha_matrix,
-                         adjacency_matrix, alpha, charpoly_exact, complete,
+                         adjacency_matrix, charpoly_exact, complete,
                          complete_bipartite, cycle, make_spectrum,
                          multiset_deviation, path, petersen, poly_roots_real,
                          sym_eigenvalues)
@@ -397,7 +397,7 @@ class TestCharpolyAgainstDeterminant:
                                          (1, 2): Fraction(1, 2), (2, 3): 7}))
 
     def test_denominator_of_one_million(self):
-        _assert_is_charpoly(*a_alpha_exact(petersen(), alpha("0.500001")))
+        _assert_is_charpoly(*a_alpha_exact(petersen(), AlphaValue.parse("0.500001")))
         rng = random.Random(7)
         _assert_is_charpoly([[rng.randint(-10 ** 6, 10 ** 6) for _ in range(6)]
                              for _ in range(6)], 10 ** 6)
@@ -408,7 +408,7 @@ class TestCharpolyAgainstDeterminant:
                               for _ in range(8)] for _ in range(8)])
 
     def test_cap_boundary_cycle(self):
-        _assert_is_charpoly(*a_alpha_exact(cycle(64), alpha("0.3")))
+        _assert_is_charpoly(*a_alpha_exact(cycle(64), AlphaValue.parse("0.3")))
 
     def test_cap_boundary_banded_nonsymmetric(self):
         rng = random.Random(9)
@@ -482,14 +482,14 @@ def _refine_exponents(monkeypatch, polys) -> list[list[int]]:
 
 class TestRootIsolation:
     @pytest.mark.parametrize("coeffs", [
-        charpoly_exact(*a_alpha_exact(complete(8), alpha(0))),
-        charpoly_exact(*a_alpha_exact(complete(32), alpha(0))),
-        charpoly_exact(*a_alpha_exact(complete(64), alpha(0))),
+        charpoly_exact(*a_alpha_exact(complete(8), AlphaValue.from_fraction(0))),
+        charpoly_exact(*a_alpha_exact(complete(32), AlphaValue.from_fraction(0))),
+        charpoly_exact(*a_alpha_exact(complete(64), AlphaValue.from_fraction(0))),
         _from_roots(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 12), Fraction(-7, 2)),
         (0, -2, 0, 1),          # root 0 is the first midpoint
         (2, 0, -3, 0, 1),       # (x^2 - 1)(x^2 - 2)
         _from_roots(0, 2, -2, Fraction(1, 2), Fraction(1, 4)),
-        charpoly_exact(*a_alpha_exact(petersen(), alpha("0.500001"))),
+        charpoly_exact(*a_alpha_exact(petersen(), AlphaValue.parse("0.500001"))),
     ], ids=["K8", "K32", "K64", "cluster", "x3-2x", "quartic", "dyadic", "petersen"])
     def test_roots_within_2_pow_43_of_sign_change(self, coeffs):
         _assert_roots_accurate(coeffs)
@@ -497,9 +497,9 @@ class TestRootIsolation:
     def test_refinement_is_quadratic(self, monkeypatch):
         # bisection to 2**-44 takes about 41 evaluations per root
         runs = _refine_exponents(monkeypatch, [
-            charpoly_exact(*a_alpha_exact(complete(64), alpha(0))),
-            charpoly_exact(*a_alpha_exact(petersen(), alpha("0.500001"))),
-            charpoly_exact(*a_alpha_exact(cycle(32), alpha("0.3"))),
+            charpoly_exact(*a_alpha_exact(complete(64), AlphaValue.from_fraction(0))),
+            charpoly_exact(*a_alpha_exact(petersen(), AlphaValue.parse("0.500001"))),
+            charpoly_exact(*a_alpha_exact(cycle(32), AlphaValue.parse("0.3"))),
         ])
         assert len(runs) == 17
         assert sum(map(len, runs)) / len(runs) <= 16
@@ -531,7 +531,7 @@ class TestRootIsolation:
         monkeypatch.setattr(linalg, "_variations", traced_variations)
         monkeypatch.setattr(linalg, "_isolate", traced_isolate)
         monkeypatch.setattr(linalg, "_sturm_chain", traced_sturm_chain)
-        poly_roots_real(charpoly_exact(*a_alpha_exact(cycle(32), alpha("0.3"))))
+        poly_roots_real(charpoly_exact(*a_alpha_exact(cycle(32), AlphaValue.parse("0.3"))))
         poly_roots_real(_from_roots(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 12),
                                     Fraction(-7, 2), 5))
         assert calls["splits"] > calls["chains"] > 0
@@ -624,7 +624,7 @@ def _counted(monkeypatch, *names) -> dict[str, int]:
 
 
 def _roots_and_hints(g) -> tuple[tuple[int, ...], list[float]]:
-    a = alpha("0.3")
+    a = AlphaValue.parse("0.3")
     return (charpoly_exact(*a_alpha_exact(g, a)),
             list(sym_eigenvalues(a_alpha_matrix(g, a)).values))
 
